@@ -63,7 +63,7 @@ def cmd_space_info(args) -> int:
     d, e, q = desc.rank, desc.e, desc.q
     table = EigenvalueTable(d, e, q)
     info = {
-        "manifest": make_manifest(sys.argv[1:], desc),
+        "manifest": make_manifest(args.argv, desc),
         "name": desc.name(),
         "e": {"num": e.numerator, "den": e.denominator},
         "counts": {f"projective_dim_{k}": num_kspaces(d, e, q, k)
@@ -92,7 +92,7 @@ def cmd_space_info(args) -> int:
 
 def cmd_space_enumerate(args) -> int:
     space = _space_from_args(args)
-    payload = space_payload(space, sys.argv[1:])
+    payload = space_payload(space, args.argv)
     write_json(args.out, payload)
     print(f"{space.name()}: {len(space.points)} points, "
           f"{space.n_generators} generators -> {args.out}")
@@ -115,7 +115,7 @@ def cmd_scheme_verify(args) -> int:
     col1 = [row[1] for row in ctx.scheme.P]
     checks["eigenvalues_distinct"] = len(set(col1)) == len(col1)
     report = {
-        "manifest": make_manifest(sys.argv[1:], space.desc),
+        "manifest": make_manifest(args.argv, space.desc),
         "parameters": params,
         "P": ctx.scheme.P,
         "checks": checks,
@@ -160,7 +160,7 @@ def cmd_check(args) -> int:
     spreads = load_spreads(args.spreads, space) if args.spreads else None
     gs = GenSet(ctx, mask, args.generator_class)
     rep = check_cl(gs, spreads=spreads)
-    payload = {"manifest": make_manifest(sys.argv[1:], space.desc),
+    payload = {"manifest": make_manifest(args.argv, space.desc),
                "report": rep.to_json()}
     if args.out:
         write_json(args.out, payload)
@@ -196,7 +196,7 @@ def cmd_search(args) -> int:
     else:
         raise GeometryError(f"unknown search target {args.target}")
     manifest = make_manifest(
-        sys.argv[1:], space.desc,
+        args.argv, space.desc,
         completeness="exhaustive" if res.exhaustive else "budget-truncated")
     manifest["timing"]["wall_time_s"] = _time.time() - t0
     payload = {"manifest": manifest, **res.to_json()}
@@ -212,7 +212,7 @@ def cmd_suite(args) -> int:
     from .suite import run_suite
     results = run_suite()
     payload = {
-        "manifest": make_manifest(sys.argv[1:]),
+        "manifest": make_manifest(args.argv),
         "level": args.level,
         "results": [{"criterion": r.number, "name": r.name, "ok": r.ok,
                      "details": r.details} for r in results],
@@ -301,11 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as ex:
         return 2 if ex.code not in (0, None) else 0
+    args.argv = argv  # recorded as the manifest's command
     try:
         return args.fn(args)
     except (GeometryError, BudgetError, FileNotFoundError, ValueError) as ex:

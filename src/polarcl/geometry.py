@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gf import GF, field
-from .linalg import gf_nullspace, gf_reduce, gf_rref
+from .linalg import gf_nullspace, gf_rref
 
 FAMILIES = ("Q+", "Q", "Q-", "W", "H")
 
@@ -206,16 +206,6 @@ class Form:
 
 # -- subspaces ----------------------------------------------------------------
 
-def rref_subspace(rows, gf: GF):
-    """Canonical (RREF) representative of the span of the given rows."""
-    return gf_rref(rows, gf)[0]
-
-
-def subspace_contains(sub, vec, gf: GF) -> bool:
-    rows, pivots = gf_rref(sub, gf)  # sub is already RREF, recompute pivots cheaply
-    return not any(gf_reduce(vec, rows, pivots, gf))
-
-
 def is_totally_isotropic(rows, form: Form) -> bool:
     """All basis vectors isotropic and all pairwise pairings vanish."""
     for i, r in enumerate(rows):
@@ -281,17 +271,7 @@ def all_hyperplanes(gf: GF, dim: int):
     return all_projective_points(gf, dim)
 
 
-def hyperplane_subspace(a, gf: GF):
-    """The hyperplane {x : a . x = 0} as an RREF matrix."""
-    return gf_nullspace([tuple(a)], len(a), gf)
-
-
 # -- point counts and hyperplane sections -------------------------------------
-
-def isotropic_point_count(desc: PolarSpaceDescriptor) -> int:
-    from .counting import num_points
-    return num_points(desc.rank, desc.e, desc.q)
-
 
 def section_point_count(form: Form, a, isotropic_points) -> int:
     gf = form.gf

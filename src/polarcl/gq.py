@@ -224,8 +224,3 @@ def gq_cl_report(gq: GQ, line_mask: int) -> dict:
     return {"x": x, "im_At": v_i, "ker_perp": v_ii, "disjoint_counts": v_iii,
             "meet_counts": v_iv, "eigenvector": v_v, "consistent": consistent,
             "is_cl": v_iii}
-
-
-def line_set_to_dual_points(line_mask: int) -> int:
-    """Lines of Q are the points of Q^D, with the same indexing."""
-    return line_mask

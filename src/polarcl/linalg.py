@@ -145,13 +145,6 @@ class IntEchelon:
         return not any(self.reduce(vec))
 
 
-def int_rank(rows, ncols: int) -> int:
-    ech = IntEchelon(ncols)
-    for r in rows:
-        ech.add(r)
-    return ech.rank
-
-
 # -- rational elimination ----------------------------------------------------
 
 def frac_rref(rows):

@@ -9,12 +9,30 @@ truncates the result and clears the exhaustive flag, it never raises.
 
 Spread search is exact cover over the point-generator incidence with the
 usual lowest-branching-column heuristic; every solution is reached along
-exactly one branch, so no symmetry anchor is needed.  Tight-set and CL
-searches run over a fixed processing order with in/out decisions and
-exact residual-count pruning: each constrained object (a point of the GQ,
-a generator of the polar space) must finish with an exact target count,
-so a branch dies as soon as a count overshoots or cannot be reached with
-what remains.
+exactly one branch, so no symmetry anchor is needed.  Parameter-1 CL
+sets are cliques of the meeting graph.
+
+Regular systems, tight sets and bounded CL sets share one in/out engine
+(`_in_out`).  It decides objects 0..n-1 in index order, in before out,
+and keeps exact counters per relation: choosing object k adds one to
+every counter in inc[k], and cov[p] holds the objects that bump counter
+p.  Each counter must stay within bounds lo[p] <= count <= hi[p], where
+the count can still grow by the undecided part of cov[p].
+
+- Fixed targets (regular systems): the counters are points, each bound
+  to exactly m from the start.
+- Pinning (tight sets, CL sets): the counters are the decided objects
+  themselves.  An undecided counter only has to stay at or below the
+  larger of its two targets; deciding k pins counter k to its member or
+  non-member target.
+- Incremental recheck: a child is entered only from a feasible parent,
+  and one decision changes only the counters in inc[k] and the one it
+  pins, so the child rechecks just those.  The root checks them all.
+- Node counts: every entered node counts, including those that die on
+  the budget, the size bound or a counter.  Two prunes act before the
+  child is entered and do not count: an include that would push a
+  fixed-target counter above its target, and an exclude whose pinned
+  counter already exceeds its non-member target.
 """
 
 from __future__ import annotations
@@ -22,7 +40,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .clsets import GenSet, check_cl, get_context, is_regular_system
+from .clsets import (GenSet, check_cl, expected_profile_type_I, get_context,
+                     is_regular_system, space_type)
 from .counting import regular_system_size
 from .gq import GQ, classify_tight_set, tight_set_test
 from .scheme import _bits
@@ -57,6 +76,95 @@ class SearchResult:
         }
 
 
+class VerificationError(Exception):
+    """A search reached a solution that its certificate rejects."""
+
+
+def _certify(ok: bool, what: str) -> None:
+    if not ok:
+        raise VerificationError(f"search produced a {what} that fails "
+                                "re-verification")
+
+
+# -- the in/out engine ------------------------------------------------------------
+
+
+class _Counters:
+    """The counters and bounds of one relation of an in/out pass."""
+
+    __slots__ = ("cov", "pins", "bumps", "recheck", "count", "lo", "hi")
+
+    def __init__(self, inc, cov, target):
+        self.cov = cov
+        self.pins = target if isinstance(target, tuple) else None
+        own = 1 if self.pins else 0
+        self.bumps = [list(_bits(m)) for m in inc]
+        self.recheck = [list(_bits(m | own << k)) for k, m in enumerate(inc)]
+        self.count = [0] * len(cov)
+        self.lo = [0 if self.pins else target] * len(cov)
+        self.hi = [max(self.pins) if self.pins else target] * len(cov)
+
+
+def _in_out(res: SearchResult, limit: int, n: int, size: int, rels, leaf,
+            max_solutions=None) -> list[int]:
+    """One in/out pass over objects 0..n-1; see the module docstring.
+
+    `rels` holds (inc, cov, target) per relation.  An int target binds
+    every counter to exactly that count; a (member, non-member) pair
+    says counter k is object k, pinned to one of the two once decided.
+    Returns the chosen sets of `size` objects that meet every count and
+    that `leaf(mask)` accepts, in the order found.
+    """
+    rs = [_Counters(*rel) for rel in rels]
+    fixed = [r for r in rs if not r.pins]
+    pinning = [r for r in rs if r.pins]
+    found: list[int] = []
+
+    def feasible(k: int, todo) -> bool:
+        for r, ps in zip(rs, todo):
+            count, cov, lo, hi = r.count, r.cov, r.lo, r.hi
+            for p in ps:
+                c = count[p]
+                if c > hi[p] or c + (cov[p] >> k).bit_count() < lo[p]:
+                    return False
+        return True
+
+    def rec(k: int, mask: int, chosen: int, todo):
+        res.nodes += 1
+        if res.nodes > limit or (max_solutions is not None
+                                 and len(found) >= max_solutions):
+            res.exhaustive = False
+            return
+        if chosen > size or chosen + (n - k) < size or not feasible(k, todo):
+            return
+        if k == n:
+            if leaf(mask):
+                found.append(mask)
+            return
+        nxt = [r.recheck[k] for r in rs]
+        if all(r.count[p] < r.hi[p] for r in fixed for p in r.bumps[k]):
+            for r in pinning:
+                r.lo[k] = r.hi[k] = r.pins[0]
+            for r in rs:
+                for p in r.bumps[k]:
+                    r.count[p] += 1
+            rec(k + 1, mask | 1 << k, chosen + 1, nxt)
+            for r in rs:
+                for p in r.bumps[k]:
+                    r.count[p] -= 1
+            if not res.exhaustive:
+                return  # the pass is over; its counters are dropped
+        for r in pinning:
+            r.lo[k] = r.hi[k] = r.pins[1]
+        if all(r.count[k] <= r.hi[k] for r in pinning):
+            rec(k + 1, mask, chosen, nxt)
+        for r in pinning:
+            r.lo[k], r.hi[k] = 0, max(r.pins)
+
+    rec(0, 0, 0, [range(len(r.cov)) for r in rs])
+    return found
+
+
 # -- spreads and regular systems -----------------------------------------------
 
 
@@ -64,61 +172,27 @@ def find_regular_systems(space, m: int, eigenspaces=None, budget=None,
                          max_solutions=None) -> SearchResult:
     """All m-regular systems, optionally filtered to chi in sum_{j in S} V_j.
 
-    In/out decisions over the generators in index order, with exact
-    residual pruning per point: counts never exceed m, and a point whose
-    count plus remaining coverage falls short of m kills the branch.
-    Every solution is re-verified by the dual regular-system check.
+    In/out decisions over the generators, every point bound to exactly m
+    chosen generators.  Every solution is re-verified by the dual
+    regular-system check.
     """
     ctx = get_context(space)
     kind = f"regular_system(m={m})"
     if m == 0:
         return SearchResult(kind, [0], True, 1)
-    limit = node_budget(budget)
-    target_size = regular_system_size(space.d, space.desc.e, space.desc.q, m)
-    point_rows = space.point_gen_masks()
-    npts = len(space.points)
-    gen_pts = space.gen_point_masks
-    n = space.n_generators
     res = SearchResult(kind)
-    counts = [0] * npts
-    chosen: list[int] = []
 
-    def rec(k: int):
-        res.nodes += 1
-        if res.nodes > limit or (max_solutions is not None
-                                 and len(res.solutions) >= max_solutions):
-            res.exhaustive = False
-            return
-        size = len(chosen)
-        if size > target_size or size + (n - k) < target_size:
-            return
-        for p in range(npts):
-            c = counts[p]
-            if c > m or c + (point_rows[p] >> k).bit_count() < m:
-                return
-        if k == n:
-            mask = sum(1 << g for g in chosen)
-            gs = GenSet(ctx, mask)
-            assert is_regular_system(gs, m)
-            if eigenspaces is None or ctx.scheme.eigenspace_membership(
-                    gs.chi(), set(eigenspaces) | {0}):
-                res.solutions.append(mask)
-            return
-        pm = gen_pts[k]
-        if all(counts[p] < m for p in _bits(pm)):
-            chosen.append(k)
-            for p in _bits(pm):
-                counts[p] += 1
-            rec(k + 1)
-            chosen.pop()
-            for p in _bits(pm):
-                counts[p] -= 1
-            if not res.exhaustive:
-                return
-        rec(k + 1)
+    def leaf(mask: int) -> bool:
+        gs = GenSet(ctx, mask)
+        _certify(is_regular_system(gs, m), f"{m}-regular system")
+        return eigenspaces is None or ctx.scheme.eigenspace_membership(
+            gs.chi(), set(eigenspaces) | {0})
 
-    rec(0)
-    res.solutions.sort()
+    rels = [(space.gen_point_masks, space.point_gen_masks(), m)]
+    size = regular_system_size(space.d, space.desc.e, space.desc.q, m)
+    res.solutions = sorted(_in_out(res, node_budget(budget),
+                                   space.n_generators, size, rels, leaf,
+                                   max_solutions))
     return res
 
 
@@ -157,8 +231,7 @@ def find_spreads(space, budget=None, max_solutions=None,
             return
         if covered == all_pts:
             mask = sum(1 << g for g in chosen)
-            gs = GenSet(ctx, mask)
-            assert is_regular_system(gs, 1)
+            _certify(is_regular_system(GenSet(ctx, mask), 1), "spread")
             res.solutions.append(mask)
             return
         best = None
@@ -196,71 +269,21 @@ def find_spreads(space, budget=None, max_solutions=None,
 def find_tight_sets(gq: GQ, x_max: int, budget=None) -> SearchResult:
     """All i-tight sets with 1 <= i <= x_max, classified.
 
-    One pass per parameter i: points are decided in index order; every
-    decided point must end with |P^perp ^ T| exactly s+i (members) or i
-    (others).  Counts only grow, so overshoot prunes immediately and a
-    reachability bound prunes starved points.  Lines accumulating more
-    than i points force total containment, the containment bound of
-    tight-set theory.
+    One pass per parameter i: in/out decisions over the points, each
+    decided point pinned to |P^perp ^ T| = s+i (members) or i (others).
+    Every solution is re-verified by the direct tight-set test.
     """
     limit = node_budget(budget)
     res = SearchResult("tight_set", meta={"by_parameter": {}})
-    n = gq.n_points
     for i in range(1, x_max + 1):
-        target_size = i * (gq.s + 1)
-        found = []
-        counts = [0] * n  # |P^perp ^ T| so far
-        in_mask = 0
-
-        def undecided_future(p: int, k: int) -> int:
-            return (gq.perp[p] >> k).bit_count() if k < n else 0
-
-        def feasible(k: int) -> bool:
-            for p in range(n):
-                c = counts[p]
-                cap = gq.s + i if (in_mask >> p) & 1 else i
-                if p < k:
-                    if c > cap:
-                        return False
-                    if c + undecided_future(p, k) < cap:
-                        return False
-                else:
-                    if c > gq.s + i:
-                        return False
+        def leaf(mask: int) -> bool:
+            ok, got_i, _ = tight_set_test(gq, mask)
+            _certify(ok and got_i == i, f"{i}-tight set")
             return True
 
-        def rec(k: int, size: int):
-            nonlocal in_mask
-            res.nodes += 1
-            if res.nodes > limit:
-                res.exhaustive = False
-                return
-            if size > target_size or size + (n - k) < target_size:
-                return
-            if k == n:
-                if size == target_size:
-                    ok, got_i, _ = tight_set_test(gq, in_mask)
-                    assert ok and got_i == i
-                    found.append(in_mask)
-                return
-            if not feasible(k):
-                return
-            # include k
-            in_mask |= 1 << k
-            for p in _bits(gq.perp[k]):
-                counts[p] += 1
-            rec(k + 1, size + 1)
-            in_mask &= ~(1 << k)
-            for p in _bits(gq.perp[k]):
-                counts[p] -= 1
-            if not res.exhaustive:
-                return
-            # exclude k: final count for k must be exactly i
-            if counts[k] <= i:
-                rec(k + 1, size)
-
-        rec(0, 0)
-        found.sort()
+        rels = [(gq.perp, gq.perp, (gq.s + i, i))]
+        found = sorted(_in_out(res, limit, gq.n_points, i * (gq.s + 1),
+                               rels, leaf))
         res.meta["by_parameter"][i] = [
             {"points": sorted(_bits(m)), "label": classify_tight_set(gq, m, i)}
             for m in found]
@@ -307,7 +330,7 @@ def find_cl_parameter1(space, class_label: str | None = None,
             gs = GenSet(ctx, mask, class_label)
             rep = check_cl(gs)
             if rep.is_cl:
-                assert gs.x == 1
+                _certify(gs.x == 1, "parameter-1 CL set")
                 res.solutions.append(mask)
             return
         if len(clique) + cand.bit_count() < target:
@@ -333,78 +356,28 @@ def find_cl_parameter1(space, class_label: str | None = None,
 def find_cl_bounded(space, x_max: int, budget=None) -> SearchResult:
     """All Cameron-Liebler sets with parameter 1 <= x <= x_max.
 
-    One pass per x, in/out decisions over the generators in index order.
-    The residual constraints come from the disjointness counts (a member
-    finishes with exactly (x-1) D chosen disjoint generators, a
-    non-member with x D); on type I spaces the whole intersection
-    distribution is forced, so every distance class i >= 1 prunes with
-    its own exact target.  Every completed candidate is re-verified by
-    the full battery before being reported.
+    One pass per x, in/out decisions over the generators, each decided
+    generator pinned to its disjointness count (a member finishes with
+    exactly (x-1) D chosen disjoint generators, a non-member with x D).
+    On type I spaces the whole intersection distribution is forced, so
+    every distance class i >= 1 is pinned to its own exact target.
+    Every completed candidate is re-verified by the full battery before
+    being reported.
     """
-    from .clsets import expected_profile_type_I
     ctx = get_context(space)
     limit = node_budget(budget)
-    n = ctx.n
-    d = ctx.d
-    A = ctx.scheme.A
+    d, A = ctx.d, ctx.scheme.A
     res = SearchResult("cl_bounded", meta={"by_parameter": {}})
     for x in range(1, x_max + 1):
-        target_size = x * ctx.pencil
         if ctx.type == "I":
-            rels = list(range(1, d + 1))
-            mem_t = expected_profile_type_I(d, ctx.e, ctx.q, x, True)
-            out_t = expected_profile_type_I(d, ctx.e, ctx.q, x, False)
+            mem = expected_profile_type_I(d, ctx.e, ctx.q, x, True)
+            out = expected_profile_type_I(d, ctx.e, ctx.q, x, False)
+            rels = [(A[i], A[i], (mem[i], out[i])) for i in range(1, d + 1)]
         else:
-            rels = [d]
-            mem_t = {d: (x - 1) * ctx.disjointness}
-            out_t = {d: x * ctx.disjointness}
-        out_caps = [max(mem_t[i], out_t[i]) for i in rels] if ctx.type == "I" \
-            else [max(mem_t[d], out_t[d])]
-        found = []
-        counts = [[0] * n for _ in range(d + 1)]
-        in_mask = 0
-
-        def rec(k: int, size: int):
-            nonlocal in_mask
-            res.nodes += 1
-            if res.nodes > limit:
-                res.exhaustive = False
-                return
-            if size > target_size or size + (n - k) < target_size:
-                return
-            for p in range(n):
-                member = (in_mask >> p) & 1
-                for t, i in enumerate(rels):
-                    c = counts[i][p]
-                    if p < k:
-                        cap = mem_t[i] if member else out_t[i]
-                        if c > cap or c + (A[i][p] >> k).bit_count() < cap:
-                            return
-                    elif c > out_caps[t]:
-                        return
-            if k == n:
-                if size == target_size:
-                    gs = GenSet(ctx, in_mask)
-                    rep = check_cl(gs)
-                    if rep.is_cl:
-                        found.append(in_mask)
-                return
-            in_mask |= 1 << k
-            for i in rels:
-                for p in _bits(A[i][k]):
-                    counts[i][p] += 1
-            rec(k + 1, size + 1)
-            in_mask &= ~(1 << k)
-            for i in rels:
-                for p in _bits(A[i][k]):
-                    counts[i][p] -= 1
-            if not res.exhaustive:
-                return
-            if all(counts[i][k] <= out_t[i] for i in rels):
-                rec(k + 1, size)
-
-        rec(0, 0)
-        found.sort()
+            rels = [(A[d], A[d], ((x - 1) * ctx.disjointness,
+                                  x * ctx.disjointness))]
+        found = sorted(_in_out(res, limit, ctx.n, x * ctx.pencil, rels,
+                               lambda mask: check_cl(GenSet(ctx, mask)).is_cl))
         res.meta["by_parameter"][x] = found
         res.solutions.extend(found)
     return res
@@ -459,7 +432,7 @@ def classify_parameter1(space, mask: int, class_label=None) -> str:
             if pm == mask:
                 return "point-pencil"
     desc = space.desc
-    if class_label is None and space_type_is_III(space):
+    if class_label is None and space_type(desc) == "III":
         if mask in set(space.hyperbolic_classes()):
             return "hyperbolic-class"
         if desc.rank == 3:
@@ -476,11 +449,6 @@ def classify_parameter1(space, mask: int, class_label=None) -> str:
                 if construct_base_solid(ctx, center, class_label).mask == mask:
                     return "base-solid"
     return "other"
-
-
-def space_type_is_III(space) -> bool:
-    from .clsets import space_type
-    return space_type(space.desc) == "III"
 
 
 def union_of_pencils_decomposition(space, mask: int):

@@ -192,3 +192,10 @@ def test_regular_search_with_eigenspace_filter(tmp_path):
                 "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["count"] >= 1
+
+
+def test_manifest_records_the_given_command(tmp_path):
+    out = tmp_path / "info.json"
+    argv = ["space", "info", "--space-name", "W(3,2)", "--out", str(out)]
+    assert run(argv) == 0
+    assert json.loads(out.read_text())["manifest"]["command"] == argv

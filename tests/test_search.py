@@ -1,14 +1,24 @@
 """Search layer: spreads, regular systems, tight sets, CL classification."""
 
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
+
+import pytest
+
+import polarcl
+from polarcl import search
 from polarcl.clsets import (GenSet, check_cl, construct_base_solid,
                             construct_point_pencil,
                             construct_hyperbolic_class, get_context,
                             is_regular_system, union)
 from polarcl.enumeration import get_space_by_name
 from polarcl.gq import GQ
-from polarcl.search import (classify_parameter1, find_cl_bounded,
-                            find_cl_parameter1, find_regular_systems,
-                            find_spreads, find_tight_sets, max_disjoint_in,
+from polarcl.search import (VerificationError, classify_parameter1,
+                            find_cl_bounded, find_cl_parameter1,
+                            find_regular_systems, find_spreads,
+                            find_tight_sets, max_disjoint_in,
                             union_of_pencils_decomposition)
 
 
@@ -264,3 +274,88 @@ def test_cl_parameter1_certificates_are_reverified():
     ctx = get_context(w)
     for m in find_cl_parameter1(w).solutions:
         assert check_cl(GenSet(ctx, m)).is_cl
+
+
+def _space(name):
+    return get_space_by_name(name)
+
+
+@pytest.mark.parametrize("call, expected", [
+    pytest.param(lambda: find_regular_systems(_space("Q+(5,2)"), 2),
+                 (168, 4811, True), id="regular-Qp52"),
+    pytest.param(lambda: find_regular_systems(_space("Q+(5,2)"), 2, budget=777),
+                 (27, 778, False), id="regular-Qp52-budget"),
+    pytest.param(lambda: find_regular_systems(_space("Q+(5,2)"), 2,
+                                              max_solutions=30),
+                 (30, 833, False), id="regular-Qp52-max-solutions"),
+    pytest.param(lambda: find_regular_systems(_space("W(3,3)"), 2),
+                 (324, 39083, True), id="regular-W33"),
+    pytest.param(lambda: find_tight_sets(GQ.from_polar(_space("W(3,2)")), 2),
+                 (85, 1432, True), id="tight-GQ22"),
+    pytest.param(lambda: find_tight_sets(
+        GQ.from_polar(_space("Q-(5,2)")).dual(), 3, budget=5000),
+                 (53, 5002, False), id="tight-GQ42-budget"),
+    pytest.param(lambda: find_cl_bounded(_space("W(3,2)"), 2),
+                 (85, 1641, True), id="cl-W32"),
+    pytest.param(lambda: find_cl_bounded(_space("Q(4,2)"), 2),
+                 (85, 1901, True), id="cl-Q42"),
+    pytest.param(lambda: find_cl_bounded(_space("Q+(3,2)"), 2),
+                 (18, 126, True), id="cl-Qp32-type-II"),
+    pytest.param(lambda: find_cl_bounded(_space("Q-(5,2)"), 3, budget=20000),
+                 (133, 20002, False), id="cl-Qm52-budget"),
+])
+def test_in_out_engine_solutions_and_nodes(call, expected):
+    # tool record: node counts are part of the search's contract, a
+    # changed prune order shows up here first
+    res = call()
+    assert (len(res.solutions), res.nodes, res.exhaustive) == expected
+
+
+class _WrongParameter(GenSet):
+    x = 2
+
+
+@pytest.mark.parametrize("patches, call", [
+    pytest.param({"is_regular_system": lambda gs, m: False},
+                 lambda: find_regular_systems(_space("W(3,2)"), 1),
+                 id="regular"),
+    pytest.param({"is_regular_system": lambda gs, m: False},
+                 lambda: find_spreads(_space("W(3,2)")), id="spread"),
+    pytest.param({"tight_set_test": lambda gq, mask: (False, None, "patched")},
+                 lambda: find_tight_sets(GQ.from_polar(_space("W(3,2)")), 1),
+                 id="tight"),
+    pytest.param({"GenSet": _WrongParameter,
+                  "check_cl": lambda gs: SimpleNamespace(is_cl=True)},
+                 lambda: find_cl_parameter1(_space("W(3,2)")),
+                 id="cl-parameter1"),
+])
+def test_failed_certificate_raises(monkeypatch, patches, call):
+    for name, value in patches.items():
+        monkeypatch.setattr(search, name, value)
+    with pytest.raises(VerificationError):
+        call()
+
+
+def test_failed_certificate_raises_under_optimize():
+    code = """
+import polarcl.search as s
+from polarcl.enumeration import get_space_by_name
+from polarcl.gq import GQ
+if __debug__:
+    raise SystemExit("not running under -O")
+s.is_regular_system = lambda gs, m: False
+s.tight_set_test = lambda gq, mask: (False, None, "patched")
+for call in (lambda: s.find_regular_systems(get_space_by_name("W(3,2)"), 1),
+             lambda: s.find_tight_sets(
+                 GQ.from_polar(get_space_by_name("W(3,2)")), 1)):
+    try:
+        call()
+    except s.VerificationError:
+        continue
+    raise SystemExit("no VerificationError")
+"""
+    src = os.path.dirname(os.path.dirname(polarcl.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

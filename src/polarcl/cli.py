@@ -23,10 +23,11 @@ import sys
 from .artifacts import (load_generator_set, load_space, load_spreads,
                         make_manifest, space_payload, write_generator_set,
                         write_json)
-from .clsets import (GenSet, check_cl, construct_base_plane,
-                     construct_base_solid, construct_embedded,
-                     construct_hyperbolic_class, construct_point_pencil,
-                     complement, get_context, space_type)
+from .clsets import (GenSet, VerificationError, check_cl,
+                     construct_base_plane, construct_base_solid,
+                     construct_embedded, construct_hyperbolic_class,
+                     construct_point_pencil, complement, get_context,
+                     space_type)
 from .counting import (EigenvalueTable, num_kspaces, parameter_b, parameter_c)
 from .enumeration import BudgetError, get_space
 from .geometry import GeometryError, descriptor, descriptor_from_name
@@ -313,6 +314,9 @@ def main(argv=None) -> int:
     except (GeometryError, BudgetError, FileNotFoundError, ValueError) as ex:
         print(f"polarcl: error: {ex}", file=sys.stderr)
         return 2
+    except VerificationError as ex:
+        print(f"polarcl: verification failed: {ex}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -7,7 +7,10 @@ any one of the following holds (they are equivalent):
     (i)    every generator pi is disjoint from (x - chi_pi) q^{C(d-1,2)+e(d-1)}
            members of L;
     (ii)   chi - x/(q^{d+e-1}+1) j is an eigenvector of the disjointness
-           matrix K for the eigenvalue -q^{C(d-1,2)+e(d-1)};
+           matrix K for the eigenvalue -q^{C(d-1,2)+e(d-1)}; chi is 0/1,
+           so each entry of K applied to the scaled vector
+           N chi - |L| j is N |K_pi ^ L| - |L| |K_pi|, two popcounts of
+           one row of K (N = |Omega|);
     (iii)  chi lies in V0+V1 (plus V_{d-1} when d is even and e = 0, plus
            V_d when d is odd and e = 1);
     (iv)   |L ^ S| = x for every spread S (when spreads exist);
@@ -21,6 +24,10 @@ quadrics with x = |L| / prod_{i=1}^{d-2}(q^i + 1), where all disjointness
 happens inside the class.
 
 Everything below is exact; every test reports a witness on failure.
+(i) and (ii) count the bits of the same rows of K, so they are two
+closed forms over one product, not independent routes; (iii), the image
+test and (iv) are the independent ones.  Statements (i)-(iii) work on
+the set's bitmask directly.
 """
 
 from __future__ import annotations
@@ -28,11 +35,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .counting import (binom2, gaussian_binomial, num_generators, pencil_size,
-                       qint, qpow)
+from .counting import binom2, gaussian_binomial, pencil_size, qint, qpow
 from .enumeration import PolarSpace
 from .geometry import GeometryError
 from .scheme import RestrictedScheme, SchemeContext, _bits
+
+
+class VerificationError(Exception):
+    """An exact check found a value other than the one theory or a second
+    route requires: a positive verdict with an impossible parameter,
+    two routes to one fact that disagree, a non-integral closed form, or
+    a search solution that its certificate rejects."""
 
 
 def space_type(desc) -> str:
@@ -171,22 +184,23 @@ class CLReport:
 # -- the individual tests ------------------------------------------------------
 
 
+def _universe(gs: GenSet):
+    """(positions, mask, q^...) of the set's universe Omega': every
+    generator with q^{C(d-1,2)+e(d-1)}, or its class with q^{C(d-1,2)}."""
+    ctx = gs.ctx
+    if gs.class_label is None:
+        return range(ctx.n), (1 << ctx.n) - 1, ctx.disjointness
+    return (ctx.space.class_members(gs.class_label),
+            ctx.space.class_mask(gs.class_label), qint(ctx.q, binom2(ctx.d - 1)))
+
+
 def test_disjointness_counts(gs: GenSet):
     """Statement (i): exact disjointness counts against every generator."""
-    ctx = gs.ctx
-    x = gs.x
-    if gs.class_label is None:
-        factor = ctx.disjointness
-        universe = range(ctx.n)
-    else:
-        factor = qint(ctx.q, binom2(ctx.d - 1))
-        universe = ctx.space.class_members(gs.class_label)
-    K = ctx.scheme.K
-    for pi in universe:
-        chi_pi = (gs.mask >> pi) & 1
-        expect = (x - chi_pi) * factor
-        got = (K[pi] & gs.mask).bit_count()
-        if got != expect:
+    positions, _, factor = _universe(gs)
+    expect = (gs.x * factor, (gs.x - 1) * factor)  # indexed by chi_pi
+    K, mask = gs.ctx.scheme.K, gs.mask
+    for pi in positions:
+        if (K[pi] & mask).bit_count() != expect[(mask >> pi) & 1]:
             return False, pi
     return True, None
 
@@ -194,27 +208,21 @@ def test_disjointness_counts(gs: GenSet):
 def test_eigenvector(gs: GenSet):
     """Statement (ii): K-eigenvector condition on the centred vector.
 
-    Scaled to integers: with |Omega'| the size of the universe, the test
-    vector |Omega'| chi - |L| j is an eigenvector of K for
-    -q^{C(d-1,2)+e(d-1)} iff the original rational one is.
+    Scaled to integers: with N = |Omega'| the size of the universe, the
+    vector w = N chi - |L| j is an eigenvector of K for
+    lam = -q^{C(d-1,2)+e(d-1)} (-q^{C(d-1,2)} on a class) iff the
+    rational one is.  As chi is 0/1, (K w)_pi is the popcount form
+    N |K_pi ^ L| - |L| |K_pi ^ Omega'|; it is compared with lam w_pi one
+    pi at a time, and the witness is the first failing position in the
+    universe (an index into Omega', i.e. into K w).
     """
-    ctx = gs.ctx
-    if gs.class_label is None:
-        lam = -ctx.disjointness
-        K = ctx.scheme.K
-        n = ctx.n
-        w = [num_generators(ctx.d, ctx.e, ctx.q) * c - gs.size
-             for c in gs.chi()]
-        kw = ctx.scheme.matvec_mask(K, w)
-    else:
-        rs = ctx.restricted(gs.class_label)
-        lam = -qint(ctx.q, binom2(ctx.d - 1))
-        members = rs.members
-        w = [len(members) * c - gs.size for c in gs.chi(members)]
-        kw = rs.matvec(rs.half, w)
-    ok = kw == [lam * v for v in w]
-    return ok, None if ok else next(
-        (i for i, (a, b) in enumerate(zip(kw, w)) if a != lam * b), None)
+    positions, universe, factor = _universe(gs)
+    K, mask, size, N = gs.ctx.scheme.K, gs.mask, gs.size, len(positions)
+    for t, pi in enumerate(positions):
+        kw = N * (K[pi] & mask).bit_count() - size * (K[pi] & universe).bit_count()
+        if kw != -factor * (N * ((mask >> pi) & 1) - size):
+            return False, t
+    return True, None
 
 
 def test_eigenspace(gs: GenSet):
@@ -222,9 +230,9 @@ def test_eigenspace(gs: GenSet):
     ctx = gs.ctx
     if gs.class_label is None:
         S = eigenspace_indices(ctx.space.desc)
-        return ctx.scheme.eigenspace_membership(gs.chi(), S), sorted(S)
+        return ctx.scheme.set_eigenspace_membership(gs.mask, S), sorted(S)
     rs = ctx.restricted(gs.class_label)
-    return rs.eigenspace_membership(gs.chi(rs.members), {0, 1}), [0, 1]
+    return rs.set_eigenspace_membership(gs.mask, {0, 1}), [0, 1]
 
 
 def test_image(gs: GenSet):
@@ -302,8 +310,10 @@ def check_cl(gs: GenSet, spreads=None) -> CLReport:
         if wit is not None:
             rep.witnesses["spread_intersections"] = wit
     if rep.is_cl:
-        assert gs.x.denominator == 1, "positive verdict with non-integral x"
-        assert 0 <= gs.x <= qpow(ctx.q, ctx.e + ctx.d - 1) + 1
+        top = qpow(ctx.q, ctx.e + ctx.d - 1) + 1
+        if gs.x.denominator != 1 or not 0 <= gs.x <= top:
+            raise VerificationError(f"positive verdict with x = {gs.x}, "
+                                    f"expected an integer in [0, {top}]")
     return rep
 
 
@@ -315,7 +325,7 @@ def is_regular_system(gs: GenSet, m: int) -> bool:
 
     Verified twice, per the kernel characterisation: (a) a direct count
     of members through every point, (b) the matrix identity A chi = m j.
-    Both routes must agree (an assertion, not a verdict).
+    Both routes must agree; a disagreement raises VerificationError.
     """
     sp = gs.ctx.space
     counts = [0] * len(sp.points)
@@ -326,7 +336,10 @@ def is_regular_system(gs: GenSet, m: int) -> bool:
     direct = all(c == m for c in counts)
     rows = sp.point_gen_masks()
     matrix = all((row & gs.mask).bit_count() == m for row in rows)
-    assert direct == matrix
+    if direct != matrix:
+        raise VerificationError(
+            f"{m}-regular system: the point counts say {direct}, "
+            f"the incidence rows say {matrix}")
     return direct
 
 
@@ -453,6 +466,12 @@ def intersection_profile(gs: GenSet, pi: int):
     return [(ctx.scheme.A[i][pi] & gs.mask).bit_count() for i in range(ctx.d + 1)]
 
 
+def _require_integral(v, i, x):
+    if v.denominator != 1:
+        raise VerificationError(f"closed-form profile entry {i} is {v} at "
+                                f"x = {x}, expected an integer")
+
+
 def expected_profile_type_I(d: int, e, q: int, x, member: bool):
     out = []
     e = Fraction(e)
@@ -464,7 +483,7 @@ def expected_profile_type_I(d: int, e, q: int, x, member: bool):
                  + qpow(q, i + e - 1) * gaussian_binomial(d - 1, i, q)) * scale
         else:
             v = x * gaussian_binomial(d - 1, i - 1, q) * scale
-        assert v.denominator == 1, (i, v)
+        _require_integral(v, i, x)
         out.append(v.numerator)
     return out
 
@@ -481,7 +500,7 @@ def expected_profile_class(d: int, q: int, x, member: bool):
                  + qpow(q, 2 * i - 1) * gaussian_binomial(d - 1, 2 * i, q)) * scale
         else:
             v = x * gaussian_binomial(d - 1, 2 * i - 1, q) * scale
-        assert v.denominator == 1
+        _require_integral(v, i, x)
         out.append(v.numerator)
     return out
 

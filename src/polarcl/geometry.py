@@ -22,6 +22,7 @@ criterion is correct in every characteristic, including two.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,11 +104,17 @@ def descriptor(family: str, rank: int, q: int, dim: int | None = None) -> PolarS
     return PolarSpaceDescriptor(family, rank, q, dim)
 
 
+_NAME = re.compile(r"(Q\+|Q-|Q|W|H)\(([0-9]+),([0-9]+)\)")
+
+
 def descriptor_from_name(name: str) -> PolarSpaceDescriptor:
-    """Parse names like 'Q+(5,2)', 'W(3,3)', 'H(4,4)'."""
-    fam, rest = name.split("(", 1)
-    dim_s, q_s = rest.rstrip(")").split(",")
-    fam, dim, q = fam.strip(), int(dim_s), int(q_s)
+    """Parse names like 'Q+(5,2)', 'W(3,3)', 'H(4,4)', exactly as
+    `PolarSpaceDescriptor.name` writes them."""
+    match = _NAME.fullmatch(name)
+    if match is None:
+        raise GeometryError(f"malformed space name {name!r}; expected e.g. "
+                            "'Q+(5,2)', 'Q-(5,2)', 'Q(6,2)', 'W(3,3)' or 'H(4,4)'")
+    fam, dim, q = match[1], int(match[2]), int(match[3])
     rank = {"Q+": (dim + 1) // 2, "W": (dim + 1) // 2, "Q": dim // 2, "Q-": (dim - 1) // 2,
             "H": (dim + 1) // 2}[fam]
     return PolarSpaceDescriptor(fam, rank, q, dim)

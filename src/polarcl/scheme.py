@@ -246,6 +246,16 @@ class SchemeContext:
         out = self.annihilate(v, sorted(S))
         return not any(out)
 
+    def set_eigenspace_membership(self, mask: int, S) -> bool:
+        """`eigenspace_membership` of the 0/1 characteristic vector chi of
+        a generator mask L.  The first factor is read off the rows:
+        ((A_1 - P_{j,1} I) chi)_i = |A_1[i] ^ L| - P_{j,1} chi_i."""
+        j0, *rest = sorted(S)
+        lam = self.P[j0][1]
+        v = [(row & mask).bit_count() - lam * ((mask >> i) & 1)
+             for i, row in enumerate(self.A[1])]
+        return not any(self.annihilate(v, rest))
+
     def orthogonal_to(self, v, j) -> bool:
         """v orthogonal to V_j, i.e. the V_j component of v vanishes."""
         v = scale_to_int(v)
@@ -367,6 +377,7 @@ class RestrictedScheme:
         col1 = [row[1] for row in self.P]
         self._distinct = len(set(col1)) == self.half + 1
         self._sep = self._separating_combination()
+        self._positions = {}
         self._image_basis_cache = None
 
     def _separating_combination(self):
@@ -379,31 +390,44 @@ class RestrictedScheme:
         raise SchemeError("no separating combination found")  # unreachable
 
     def matvec(self, i: int, v):
-        out = []
-        for mrow in self.A[i]:
-            acc = 0
-            for j in _bits(mrow):
-                acc += v[j]
-            out.append(acc)
-        return out
+        """A'_i v, over position lists of the rows built on first use."""
+        if i not in self._positions:
+            self._positions[i] = [list(_bits(row)) for row in self.A[i]]
+        return [sum(v[t] for t in pos) for pos in self._positions[i]]
+
+    def _combination(self):
+        """(c, vals): T = sum_i c_i A'_i acts as vals[j] on V'_j, and the
+        vals are pairwise distinct.  T = A'_1 when its eigenvalues are."""
+        if self._distinct:
+            return ([int(i == 1) for i in range(self.half + 1)],
+                    [row[1] for row in self.P])
+        return self._sep
+
+    def annihilate(self, v, js):
+        """Apply prod_{j in js} (T - vals[j] I) to v (integer vector)."""
+        weights, vals = self._combination()
+        for j in js:
+            tv = [0] * self.m
+            for i, w in enumerate(weights):
+                if w:
+                    tv = [acc + w * a for acc, a in zip(tv, self.matvec(i, v))]
+            v = [a - vals[j] * x for a, x in zip(tv, v)]
+        return v
 
     def eigenspace_membership(self, v, S) -> bool:
-        v = scale_to_int(v)
-        if self._distinct:
-            for j in sorted(S):
-                lam = self.P[j][1]
-                av = self.matvec(1, v)
-                v = [a - lam * x for a, x in zip(av, v)]
-        else:
-            weights, vals = self._sep
-            for j in sorted(S):
-                mv = [0] * self.m
-                for i, w in enumerate(weights):
-                    if w:
-                        av = self.matvec(i, v)
-                        mv = [acc + w * a for acc, a in zip(mv, av)]
-                v = [a - vals[j] * x for a, x in zip(mv, v)]
-        return not any(v)
+        return not any(self.annihilate(scale_to_int(v), sorted(S)))
+
+    def set_eigenspace_membership(self, mask: int, S) -> bool:
+        """`eigenspace_membership` of the characteristic vector of a mask
+        L inside the class.  The first factor is read off the full rows:
+        (A'_i chi)_t = |A_{2i}[g_t] ^ L|, with no remapping of L."""
+        weights, vals = self._combination()
+        j0, *rest = sorted(S)
+        A = self.ctx.A
+        v = [sum(w * (A[2 * i][g] & mask).bit_count()
+                 for i, w in enumerate(weights) if w)
+             - vals[j0] * ((mask >> g) & 1) for g in self.members]
+        return not any(self.annihilate(v, rest))
 
     def image_basis(self) -> IntEchelon:
         """Echelon basis of im(A'^t), A' = points x class-generators."""

@@ -40,8 +40,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .clsets import (GenSet, check_cl, expected_profile_type_I, get_context,
-                     is_regular_system, space_type)
+from .clsets import (GenSet, VerificationError, check_cl,
+                     expected_profile_type_I, get_context, is_regular_system,
+                     space_type)
 from .counting import regular_system_size
 from .gq import GQ, classify_tight_set, tight_set_test
 from .scheme import _bits
@@ -74,10 +75,6 @@ class SearchResult:
                           for m in self.solutions],
             **self.meta,
         }
-
-
-class VerificationError(Exception):
-    """A search reached a solution that its certificate rejects."""
 
 
 def _certify(ok: bool, what: str) -> None:
@@ -185,8 +182,8 @@ def find_regular_systems(space, m: int, eigenspaces=None, budget=None,
     def leaf(mask: int) -> bool:
         gs = GenSet(ctx, mask)
         _certify(is_regular_system(gs, m), f"{m}-regular system")
-        return eigenspaces is None or ctx.scheme.eigenspace_membership(
-            gs.chi(), set(eigenspaces) | {0})
+        return eigenspaces is None or ctx.scheme.set_eigenspace_membership(
+            mask, set(eigenspaces) | {0})
 
     rels = [(space.gen_point_masks, space.point_gen_masks(), m)]
     size = regular_system_size(space.d, space.desc.e, space.desc.q, m)

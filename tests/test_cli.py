@@ -199,3 +199,26 @@ def test_manifest_records_the_given_command(tmp_path):
     argv = ["space", "info", "--space-name", "W(3,2)", "--out", str(out)]
     assert run(argv) == 0
     assert json.loads(out.read_text())["manifest"]["command"] == argv
+
+
+def test_malformed_space_names_exit_2(capsys):
+    for name in ("Q+(5,2", "Q+(5,2)))", " Q+ (5,2)", "X(5,2)"):
+        assert run(["space", "info", "--space-name", name]) == 2, name
+        assert "malformed space name" in capsys.readouterr().err
+
+
+def test_verification_failure_exits_1(tmp_path, capsys, monkeypatch):
+    from polarcl import clsets
+    space_file = tmp_path / "w32.json"
+    assert run(["space", "enumerate", "--space-name", "W(3,2)",
+                "--out", str(space_file)]) == 0
+    one = tmp_path / "one.txt"
+    one.write_text("idx:0\n")
+    # a battery that accepts a single generator, whose x = 1/3 is impossible
+    monkeypatch.setattr(clsets, "test_disjointness_counts",
+                        lambda gs: (True, None))
+    capsys.readouterr()
+    assert run(["check", "--space", str(space_file), "--set", str(one)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("polarcl: verification failed: positive verdict")
+    assert "Traceback" not in err

@@ -1,14 +1,23 @@
 """The Cameron-Liebler battery: tests, constructions, distributions."""
 
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from polarcl.clsets import (GenSet, check_cl, complement, construct,
-                            construct_base_plane, construct_base_solid,
-                            construct_embedded, construct_hyperbolic_class,
+import polarcl
+from polarcl import clsets
+from polarcl.clsets import (GenSet, VerificationError, check_cl, complement,
+                            construct, construct_base_plane,
+                            construct_base_solid, construct_embedded,
+                            construct_hyperbolic_class,
                             construct_point_pencil, difference,
-                            eigenspace_indices, get_context,
+                            eigenspace_indices, expected_profile_class,
+                            expected_profile_type_I, get_context,
                             intersection_profile, is_regular_system,
                             profile_verdict, regular_system_m, space_type,
                             union, z_profile)
@@ -17,7 +26,7 @@ from polarcl.clsets import test_eigenspace as eigenspace_test
 from polarcl.clsets import test_eigenvector as eigenvector_test
 from polarcl.clsets import test_image as image_test
 from polarcl.clsets import test_spread_intersections as spread_test
-from polarcl.counting import pencil_size, qint
+from polarcl.counting import binom2, num_generators, pencil_size, qint
 from polarcl.enumeration import get_space_by_name
 from polarcl.geometry import GeometryError, descriptor, descriptor_from_name
 from polarcl.search import find_spreads
@@ -386,3 +395,159 @@ def test_parameter_integrality_on_positive_verdicts():
             gs = construct_point_pencil(ctx, p)
             rep = check_cl(gs)
             assert rep.is_cl and gs.x.denominator == 1
+
+
+# -- the list-based battery, kept as the reference for the popcount form --------
+
+
+def reference_eigenvector(gs):
+    """Statement (ii) as a list matvec: K (N chi - |L| j) against lam times it,
+    with N the closed-form generator count (class size on a class)."""
+    ctx = gs.ctx
+    if gs.class_label is None:
+        lam = -ctx.disjointness
+        w = [num_generators(ctx.d, ctx.e, ctx.q) * c - gs.size for c in gs.chi()]
+        kw = ctx.scheme.matvec_mask(ctx.scheme.K, w)
+    else:
+        rs = ctx.restricted(gs.class_label)
+        lam = -qint(ctx.q, binom2(ctx.d - 1))
+        w = [rs.m * c - gs.size for c in gs.chi(rs.members)]
+        kw = rs.matvec(rs.half, w)
+    bad = [i for i, (a, b) in enumerate(zip(kw, w)) if a != lam * b]
+    return not bad, bad[0] if bad else None
+
+
+def reference_eigenspace(gs):
+    """Statement (iii) with every annihilator factor applied to the chi list."""
+    ctx = gs.ctx
+    if gs.class_label is None:
+        S = sorted(eigenspace_indices(ctx.space.desc))
+        return not any(ctx.scheme.annihilate(gs.chi(), S)), S
+    rs = ctx.restricted(gs.class_label)
+    return rs.eigenspace_membership(gs.chi(rs.members), {0, 1}), [0, 1]
+
+
+def battery_cases(ctx, rng, label=None):
+    """Pencils, their near-misses, pencil unions and random sets, seeded."""
+    sp = ctx.space
+    universe = (sp.class_members(label) if label else list(range(ctx.n)))
+    cap = sp.class_mask(label) if label else (1 << ctx.n) - 1
+    rows = sp.point_gen_masks()
+    masks = [0, cap]
+    for p in rng.sample(range(len(sp.points)), 4):
+        pencil = rows[p] & cap
+        inside = [g for g in universe if (pencil >> g) & 1]
+        outside = [g for g in universe if not (pencil >> g) & 1]
+        drop, extra = rng.choice(inside), rng.choice(outside)
+        masks += [pencil, cap & ~pencil, pencil & ~(1 << drop),
+                  pencil | (1 << extra), (pencil & ~(1 << drop)) | (1 << extra),
+                  pencil | (rows[rng.randrange(len(sp.points))] & cap)]
+    for size in [len(universe) // 4, len(universe) // 2] + [
+            rng.randrange(len(universe) + 1) for _ in range(6)]:
+        masks.append(sum(1 << g for g in rng.sample(universe, size)))
+    return [GenSet(ctx, m, label) for m in masks]
+
+
+@pytest.mark.parametrize("name, label", [
+    ("W(3,2)", None), ("Q-(5,2)", None), ("Q(6,2)", None),
+    ("Q+(7,2)", "latin"), ("Q+(7,2)", "greek")])
+def test_popcount_battery_matches_list_reference(name, label):
+    ctx = ctx_of(name)
+    rng = random.Random(f"battery:{name}:{label}")
+    verdicts = set()
+    for gs in battery_cases(ctx, rng, label):
+        assert eigenvector_test(gs) == reference_eigenvector(gs), hex(gs.mask)
+        assert eigenspace_test(gs) == reference_eigenspace(gs), hex(gs.mask)
+        verdicts.add(eigenvector_test(gs)[0])
+    assert verdicts == {True, False}  # both outcomes were exercised
+
+
+# type I desk spaces: every statement, the image one too, is equivalent
+# to being Cameron-Liebler
+@st.composite
+def generator_sets(draw):
+    """Unions of point pencils with a few generators flipped: disjoint
+    pencils are Cameron-Liebler, overlapping ones and flips mostly not."""
+    ctx = ctx_of(draw(st.sampled_from(("W(3,2)", "Q(4,2)", "Q-(5,2)"))))
+    rows = ctx.space.point_gen_masks()
+    mask = 0
+    for p in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
+        mask |= rows[p]
+    for g in draw(st.lists(st.integers(0, ctx.n - 1), max_size=2)):
+        mask ^= 1 << g
+    return GenSet(ctx, mask)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(generator_sets())
+def test_characterisations_agree(gs):
+    rep = check_cl(gs)
+    assert len(set(rep.verdicts.values())) == 1, rep.verdicts
+    assert (rep.verdicts["eigenvector"],
+            rep.witnesses.get("eigenvector")) == reference_eigenvector(gs)
+    assert rep.verdicts["eigenspace"] == reference_eigenspace(gs)[0]
+
+
+# -- verification that survives python -O --------------------------------------
+
+
+class _OutOfRange(GenSet):
+    x = Fraction(9)  # above q^{e+d-1} + 1 = 5 on W(3,2)
+
+
+def _regular_rows_zeroed(monkeypatch):
+    sp = get_space_by_name("W(3,2)")
+    monkeypatch.setattr(sp, "point_gen_masks", lambda: [0] * len(sp.points))
+    return is_regular_system(GenSet(ctx_of("W(3,2)"), (1 << 15) - 1), 3)
+
+
+@pytest.mark.parametrize("route", [
+    pytest.param(lambda mp: check_cl(GenSet(ctx_of("W(3,2)"), 1)),
+                 id="non-integral-x"),
+    pytest.param(lambda mp: check_cl(_OutOfRange(ctx_of("W(3,2)"), 1)),
+                 id="x-out-of-range"),
+    pytest.param(_regular_rows_zeroed, id="regular-routes-disagree"),
+    pytest.param(lambda mp: expected_profile_type_I(2, 1, 2, Fraction(1, 3), False),
+                 id="profile-type-I"),
+    pytest.param(lambda mp: expected_profile_class(4, 2, Fraction(1, 3), False),
+                 id="profile-class"),
+])
+def test_failed_verification_raises(monkeypatch, route):
+    # a positive verdict is forced, so only the parameter check can object
+    monkeypatch.setattr(clsets, "test_disjointness_counts",
+                        lambda gs: (True, None))
+    with pytest.raises(VerificationError):
+        route(monkeypatch)
+
+
+def test_failed_verification_raises_under_optimize():
+    code = """
+from fractions import Fraction
+import polarcl.clsets as c
+from polarcl.enumeration import get_space_by_name
+if __debug__:
+    raise SystemExit("not running under -O")
+sp = get_space_by_name("W(3,2)")
+ctx = c.get_context(sp)
+class OutOfRange(c.GenSet):
+    x = Fraction(9)
+def regular():
+    sp.point_gen_masks = lambda: [0] * len(sp.points)
+    return c.is_regular_system(c.GenSet(ctx, (1 << 15) - 1), 3)
+c.test_disjointness_counts = lambda gs: (True, None)
+for call in (lambda: c.check_cl(c.GenSet(ctx, 1)),
+             lambda: c.check_cl(OutOfRange(ctx, 1)),
+             regular,
+             lambda: c.expected_profile_type_I(2, 1, 2, Fraction(1, 3), False),
+             lambda: c.expected_profile_class(4, 2, Fraction(1, 3), False)):
+    try:
+        call()
+    except c.VerificationError:
+        continue
+    raise SystemExit("no VerificationError")
+"""
+    src = os.path.dirname(os.path.dirname(polarcl.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -430,7 +430,7 @@ def reference_eigenspace(gs):
 def battery_cases(ctx, rng, label=None):
     """Pencils, their near-misses, pencil unions and random sets, seeded."""
     sp = ctx.space
-    universe = (sp.class_members(label) if label else list(range(ctx.n)))
+    universe = sp.class_members(label) if label else list(range(ctx.n))
     cap = sp.class_mask(label) if label else (1 << ctx.n) - 1
     rows = sp.point_gen_masks()
     masks = [0, cap]

@@ -210,10 +210,10 @@ def cmd_search(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    from .suite import run_suite
+    from .suite import CORPUS_SEED, run_suite
     results = run_suite()
     payload = {
-        "manifest": make_manifest(args.argv),
+        "manifest": make_manifest(args.argv, seed=CORPUS_SEED),
         "level": args.level,
         "results": [{"criterion": r.number, "name": r.name, "ok": r.ok,
                      "details": r.details} for r in results],

@@ -94,6 +94,7 @@ class CLContext:
         self.pencil = pencil_size(self.d, self.e, self.q)
         self.disjointness = qint(self.q, binom2(self.d - 1) + self.e * (self.d - 1))
         self._restricted: dict[str, RestrictedScheme] = {}
+        self.valid_spreads: set[int] = set()  # masks already checked as spreads
 
     def restricted(self, label: str) -> RestrictedScheme:
         if label not in self._restricted:
@@ -268,15 +269,19 @@ def test_image(gs: GenSet):
 def test_spread_intersections(gs: GenSet, spreads):
     """Statement (iv): |L ^ S| = x for every supplied spread.
 
-    Supplied sets are validated as 1-regular systems first; a non-spread
-    raises.  An empty spread list yields the verdict "vacuous", never a
-    pass: the absence of spreads certifies nothing.
+    Supplied sets are validated as 1-regular systems first, once per
+    context and mask; a non-spread raises on every call.  An empty spread
+    list yields the verdict "vacuous", never a pass: the absence of
+    spreads certifies nothing.
     """
     if not spreads:
         return "vacuous", None
+    valid = gs.ctx.valid_spreads
     for s in spreads:
-        if not is_regular_system(GenSet(gs.ctx, s), 1):
-            raise GeometryError("supplied set is not a spread")
+        if s not in valid:
+            if not is_regular_system(GenSet(gs.ctx, s), 1):
+                raise GeometryError("supplied set is not a spread")
+            valid.add(s)
     x = gs.x
     for i, s in enumerate(spreads):
         got = (s & gs.mask).bit_count()

@@ -51,6 +51,21 @@ def qpow(q: int, exp) -> Fraction:
     raise CountingError(f"unsupported exponent {e}")
 
 
+def _integral(v, what: str) -> int:
+    """v (an int or Fraction) as an int; CountingError if it is not one."""
+    v = Fraction(v)
+    if v.denominator != 1:
+        raise CountingError(f"{what} = {v}, expected an integer")
+    return v.numerator
+
+
+def _divide(num, den, what: str) -> int:
+    """num / den, which must be exact."""
+    if num % den:
+        raise CountingError(f"{what} = {num} / {den}, expected an integer")
+    return num // den
+
+
 def qint(q: int, exp) -> int:
     v = qpow(q, exp)
     if v.denominator != 1:
@@ -68,8 +83,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     for i in range(1, k + 1):
         num *= q ** (n - k + i) - 1
         den *= q ** i - 1
-    assert num % den == 0
-    return num // den
+    return _divide(num, den, f"[{n},{k}]_{q}")
 
 
 def q_binomial_theorem_check(n: int, q: int, t) -> bool:
@@ -92,22 +106,19 @@ def num_kspaces(d: int, e, q: int, k: int) -> int:
     v = Fraction(gaussian_binomial(d, k + 1, q))
     for i in range(1, k + 2):
         v *= qpow(q, Fraction(d - i) + Fraction(e)) + 1
-    assert v.denominator == 1
-    return v.numerator
+    return _integral(v, f"number of {k}-spaces")
 
 
 def num_generators(d: int, e, q: int) -> int:
     v = Fraction(1)
     for i in range(d):
         v *= qpow(q, Fraction(e) + i) + 1
-    assert v.denominator == 1
-    return v.numerator
+    return _integral(v, "number of generators")
 
 
 def num_points(d: int, e, q: int) -> int:
     v = gaussian_binomial(d, 1, q) * (qpow(q, Fraction(d - 1) + Fraction(e)) + 1)
-    assert v.denominator == 1
-    return v.numerator
+    return _integral(v, "number of points")
 
 
 def num_kspaces_through_mspace(d: int, e, q: int, k: int, m: int) -> int:
@@ -115,8 +126,7 @@ def num_kspaces_through_mspace(d: int, e, q: int, k: int, m: int) -> int:
     v = Fraction(gaussian_binomial(d - m - 1, k - m, q))
     for i in range(1, k - m + 1):
         v *= qpow(q, Fraction(d - m - i - 1) + Fraction(e)) + 1
-    assert v.denominator == 1
-    return v.numerator
+    return _integral(v, f"number of {k}-spaces through a fixed {m}-space")
 
 
 def pencil_size(d: int, e, q: int) -> int:
@@ -124,8 +134,7 @@ def pencil_size(d: int, e, q: int) -> int:
     v = Fraction(1)
     for i in range(d - 1):
         v *= qpow(q, Fraction(e) + i) + 1
-    assert v.denominator == 1
-    return v.numerator
+    return _integral(v, "pencil size")
 
 
 def num_disjoint_from_generator(d: int, e, q: int) -> int:
@@ -134,8 +143,7 @@ def num_disjoint_from_generator(d: int, e, q: int) -> int:
 
 def regular_system_size(d: int, e, q: int, m: int) -> int:
     v = m * (qpow(q, Fraction(d - 1) + Fraction(e)) + 1)
-    assert v.denominator == 1
-    return v.numerator
+    return _integral(v, f"size of a {m}-regular system")
 
 
 # -- distance-regular parameters and eigenvalues -------------------------------
@@ -156,10 +164,8 @@ def degree_k(d: int, e, q: int, i: int) -> int:
     """Degree of the i-th distance relation, from the b/c recursion."""
     k = 1
     for j in range(i):
-        num = k * parameter_b(d, e, q, j)
-        den = parameter_c(d, e, q, j + 1)
-        assert num % den == 0
-        k = num // den
+        k = _divide(k * parameter_b(d, e, q, j), parameter_c(d, e, q, j + 1),
+                    f"k_{j + 1}")
     return k
 
 
@@ -193,9 +199,11 @@ def eigenvalue_disjointness(j: int, d: int, e, q: int) -> int:
 class EigenvalueTable:
     """The full (d+1) x (d+1) table P[j][i] of exact scheme eigenvalues.
 
-    Construction asserts the eigenvalues P_{j,1} of the dual polar graph
-    itself are pairwise distinct; the annihilator-based eigenspace tests
-    rely on that.
+    Construction checks that the eigenvalues P_{j,1} of the dual polar
+    graph itself are pairwise distinct, which the annihilator-based
+    eigenspace tests rely on, and that row 0 and column d agree with the
+    degrees and with the disjointness closed form; a mismatch raises
+    CountingError.
     """
 
     def __init__(self, d: int, e, q: int):
@@ -206,18 +214,22 @@ class EigenvalueTable:
         if len(set(col1)) != d + 1:
             raise CountingError(f"P_{{j,1}} not pairwise distinct: {col1}")
         for i in range(d + 1):
-            assert self.P[0][i] == degree_k(d, e, q, i)
+            want = degree_k(d, e, q, i)
+            if self.P[0][i] != want:
+                raise CountingError(f"P_{{0,{i}}} = {self.P[0][i]}, "
+                                    f"expected the degree k_{i} = {want}")
         for j in range(d + 1):
-            assert self.P[j][d] == eigenvalue_disjointness(j, d, e, q)
+            want = eigenvalue_disjointness(j, d, e, q)
+            if self.P[j][d] != want:
+                raise CountingError(f"P_{{{j},{d}}} = {self.P[j][d]}, "
+                                    f"expected the closed form {want}")
 
     def multiplicity(self, j: int) -> int:
         """dim V_j, by the orthogonality relation m_j = N / sum_i P_ji^2/k_i."""
         n = num_generators(self.d, self.e, self.q)
         s = sum(Fraction(self.P[j][i] ** 2, degree_k(self.d, self.e, self.q, i))
                 for i in range(self.d + 1))
-        m = Fraction(n) / s
-        assert m.denominator == 1
-        return m.numerator
+        return _integral(Fraction(n) / s, f"multiplicity m_{j}")
 
 
 def min_eigenvalue_spaces(desc) -> set[int]:
@@ -236,7 +248,10 @@ def min_eigenvalue_spaces(desc) -> set[int]:
     target = -qint(desc.q, binom2(d - 1) + e * (d - 1))
     for j in range(d + 1):
         got = eigenvalue_disjointness(j, d, e, desc.q)
-        assert (got == target) == (j in out), (j, got, target)
+        if (got == target) != (j in out):
+            relation = "==" if j in out else "!="
+            raise CountingError(f"P_{{{j},{d}}} = {got}, expected "
+                                f"{relation} {target}")
     return out
 
 
@@ -310,8 +325,7 @@ def intersection_numbers(d: int, e, q: int):
                 val -= a[i] * L[i][k][j]
                 if i >= 1:
                     val -= b[i - 1] * L[i - 1][k][j]
-                assert val % c[i + 1] == 0
-                nxt[k][j] = val // c[i + 1]
+                nxt[k][j] = _divide(val, c[i + 1], f"p^{k}_{{{i + 1},{j}}}")
         L.append(nxt)
     p = [[[L[i][k][j] for k in range(d + 1)] for j in range(d + 1)]
          for i in range(d + 1)]

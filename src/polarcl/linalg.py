@@ -1,10 +1,35 @@
-"""Exact linear algebra: over GF(q) and over the integers/rationals.
+"""Exact linear algebra: over GF(q), over the integers, and modulo a prime.
 
-Two independent layers live here.  The GF(q) layer produces the reduced
-row-echelon canonical form that makes subspace representations unique;
-the integer layer does fraction-free elimination (rows kept primitive by
-gcd division) for the rank and image-membership computations of the
-verification paths.  No floating point anywhere.
+Three layers live here, and none uses floating point.
+
+GF(q) elimination gives the reduced row-echelon form that makes subspace
+representations canonical.
+
+`IntEchelon` does fraction-free elimination over the integers (rows kept
+primitive by gcd division); it decides rank and image membership for the
+verification paths, where a "not in the span" verdict must be exact.
+
+Packed rows.  A vector of n entries is one Python int whose field t, the
+bits [B t, B t + B), holds entry t; a row operation is then one small-int
+multiply and one add on a big int.  Two kernels use this layout.
+
+- `ModEchelon` keeps an echelon basis modulo the fixed prime `PRIME`.
+  Its verdicts are one-sided: vectors independent modulo p are
+  independent over Q (a nonzero minor mod p is a nonzero integer minor),
+  but vectors dependent modulo p may still be independent over Q.  A
+  basis it accepts is therefore certified; a shortfall is only reported.
+  Stored rows have fields in [0, p) and a row operation adds at most
+  (p - 1)^2 to a field, so after at most n operations a field is below
+  (p - 1) + n (p - 1)^2, and B >= bits(p - 1) + bits(n (p - 1)^2) + 1
+  keeps every field inside its own bits.
+- `first_non_eigenvector` checks M w = lam w for a symmetric 0/1 matrix M
+  given by row masks as the single identity
+  sum_s w_s (spread(M[s]) - lam 2^{B s}) = 0, where spread(M[s]) packs
+  row s.  The fields of that sum are the entries h_t of (M - lam I) w, and
+  |h_t| <= 2 k max|w| for k = max(row weight, |lam|).  With
+  B = bits(k max|w|) + 2 every |h_t| < 2^(B-1), so the balanced fields
+  cannot carry into each other and the sum is zero exactly when every
+  h_t is.
 """
 
 from __future__ import annotations
@@ -143,6 +168,104 @@ class IntEchelon:
 
     def contains(self, vec) -> bool:
         return not any(self.reduce(vec))
+
+
+# -- packed rows ----------------------------------------------------------------
+
+PRIME = 1048583  # the least prime above 2^20
+
+
+def _pack(vals, nbytes: int) -> int:
+    """Nonnegative entries, each below 2^(8 nbytes), packed into one int."""
+    return int.from_bytes(b"".join(x.to_bytes(nbytes, "little") for x in vals),
+                          "little")
+
+
+def _unpack(packed: int, ncols: int, nbytes: int) -> list[int]:
+    raw = packed.to_bytes(ncols * nbytes, "little")
+    return [int.from_bytes(raw[i:i + nbytes], "little")
+            for i in range(0, len(raw), nbytes)]
+
+
+class ModEchelon:
+    """Incremental echelon basis modulo `PRIME` over packed rows.
+
+    Rows are stored in insertion order, with fields reduced into [0, p),
+    pivot entry 1, and zeros at the pivots of every earlier row; reducing
+    a vector against them in that order clears each pivot in turn.  A
+    vector's fields are reduced modulo p only when it is stored.  See the
+    module docstring for the field width and for what an accepted row
+    certifies over Q.
+    """
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.p = p = PRIME
+        bits = (p - 1).bit_length() + (ncols * (p - 1) ** 2).bit_length() + 1
+        self.nbytes = -(-bits // 8)
+        self.rows: list[int] = []
+        self.pivots: list[int] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add(self, vec) -> bool:
+        """Insert vec (integer entries) if it is independent modulo p of
+        the current rows; report whether it was."""
+        p, nb = self.p, self.nbytes
+        width, fmask = 8 * nb, (1 << 8 * nb) - 1
+        v = _pack([x % p for x in vec], nb)
+        for piv, row in zip(self.pivots, self.rows):
+            c = (v >> width * piv & fmask) % p
+            if c:
+                v += (p - c) * row
+        vals = [x % p for x in _unpack(v, self.ncols, nb)]
+        piv = next((t for t, x in enumerate(vals) if x), None)
+        if piv is None:
+            return False
+        inv = pow(vals[piv], -1, p)
+        self.rows.append(_pack([x * inv % p for x in vals], nb))
+        self.pivots.append(piv)
+        return True
+
+
+def spread(mask: int, width: int) -> int:
+    """The 0/1 vector of a bitmask, packed into fields of `width` bits."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << width * (low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def eigencheck_width(degree: int, peak: int) -> int:
+    """Field width for `first_non_eigenvector`: bits(degree * peak) + 2,
+    for degree >= max(row weight, |lam|) and peak = max |w|."""
+    return (degree * peak).bit_length() + 2
+
+
+def first_non_eigenvector(masks, lam: int, vectors):
+    """Index of the first vector w with M w != lam w, or None.
+
+    M is the symmetric 0/1 matrix with row masks `masks`; each row is
+    read as a column too.  Each vector costs one
+    multiply-add per entry on packed rows, at the width the module
+    docstring shows to be exact.
+    """
+    degree = max([abs(lam)] + [m.bit_count() for m in masks])
+    peak = max((abs(x) for w in vectors for x in w), default=0)
+    width = eigencheck_width(degree, peak)
+    rows = [spread(m, width) - (lam << width * s) for s, m in enumerate(masks)]
+    for idx, w in enumerate(vectors):
+        acc = 0
+        for x, row in zip(w, rows):
+            if x:
+                acc += x * row
+        if acc:
+            return idx
+    return None
 
 
 # -- rational elimination ----------------------------------------------------

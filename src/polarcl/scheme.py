@@ -17,13 +17,38 @@ of the V_j over j in S exactly when the product over S annihilates v.
 Image membership for an incidence matrix M is rank-based: v in im(M^t)
 iff stacking v onto the rows of M does not raise the rank, computed by
 fraction-free integer elimination.  No floating point anywhere.
+
+Eigenspace bases (`eigenspace_bases`) take three steps, each exact.
+
+- Projection by popcounts.  The annihilator prod_{l != j} (A_1 - P_{l,1} I)
+  lies in the Bose-Mesner algebra, so it equals sum_i alpha_i A_i with
+  integer alpha_i.  They follow from expanding the product with the
+  intersection numbers: multiplying sum_i x_i A_i by A_1 sends the
+  coefficients to x'_k = sum_i x_i p^k_{i1}.  A 0/1 row r of C_j then
+  projects to w_t = sum_i alpha_i |A_i[t] ^ r|, d + 1 popcounts per entry.
+- Independence modulo one prime.  The projections are kept greedily while
+  they are independent modulo `linalg.PRIME`, in a packed-row echelon.
+  The certificate is one-sided: independence mod p implies independence
+  over Q, so an accepted basis is independent; a rank that falls short of
+  the multiplicity raises SchemeError, with no fallback.  The annihilator
+  acts on V_j as the scalar prod_{l != j} (P_{j,1} - P_{l,1}), and a prime
+  that divides a factor loses rank (p = 5 reaches rank 1 of 9 on V_1 of
+  W(3,2)).  p > 2^20 exceeds every |P_{j,1} - P_{l,1}| <= 2 P_{0,1} while
+  the valency P_{0,1} is below 2^19.
+- Packed eigencheck.  Every basis vector w of V_j satisfies
+  A_1 w = P_{j,1} w, checked as one integer identity on packed rows whose
+  field width, bits(k max|w|) + 2, keeps the fields from carrying.  The
+  field width of the modular echelon is bits(p - 1) + bits(n (p - 1)^2) + 1.
+  Both bounds are derived in `linalg`.
 """
 
 from __future__ import annotations
 
-from .counting import EigenvalueTable, parameter_b, parameter_c
+from .counting import (EigenvalueTable, intersection_numbers, parameter_b,
+                       parameter_c)
 from .enumeration import PolarSpace
-from .linalg import IntEchelon, scale_to_int
+from .linalg import (IntEchelon, ModEchelon, first_non_eigenvector,
+                     scale_to_int)
 
 
 class SchemeError(RuntimeError):
@@ -197,7 +222,6 @@ class SchemeContext:
 
     def verify_intersection_numbers(self, sample=None):
         """A_i A_j = sum_k p^k_{ij} A_k, checked entrywise by counting."""
-        from .counting import intersection_numbers
         d = self.d
         p = intersection_numbers(d, self.space.desc.e, self.space.desc.q)
         n = self.n
@@ -291,43 +315,80 @@ class SchemeContext:
 
     # -- eigenspace bases (via the incidence matrices) ---------------------------
 
-    def eigenspace_bases(self):
-        """Integer bases of every V_j, constructed from the C_k incidences.
+    def _annihilator(self, j: int) -> list[int]:
+        """alpha with prod_{l != j} (A_1 - P_{l,1} I) = sum_i alpha_i A_i.
 
-        V_0 is spanned by the all-ones vector; for j >= 1 rows of C_j are
-        projected onto V_j by the annihilator product over all other
-        eigenvalues (a scalar multiple of the minimal idempotent E_j).
-        im(C_j^t) = V_0 + ... + V_j makes those projections span V_j; the
-        dimension count sum_j dim V_j = |Omega| certifies completeness.
-        Each basis vector is certified by exact eigenvector checks.
+        Starts from I = A_0 and multiplies by one factor at a time, using
+        A_1 A_i = sum_k p^k_{i1} A_k from the closed-form intersection
+        numbers.
+        """
+        d, desc = self.d, self.space.desc
+        p = intersection_numbers(d, desc.e, desc.q)
+        alpha = [1] + [0] * d
+        for l in range(d + 1):
+            if l != j:
+                lam = self.P[l][1]
+                alpha = [sum(x * p[i][1][k] for i, x in enumerate(alpha))
+                         - lam * alpha[k] for k in range(d + 1)]
+        return alpha
+
+    def _project(self, alpha, mask: int) -> list[int]:
+        """(sum_i alpha_i A_i) chi for the 0/1 vector chi of a generator
+        mask: entry t is sum_i alpha_i |A_i[t] ^ mask|."""
+        w = [0] * self.n
+        for a, rows in zip(alpha, self.A):
+            if a:
+                w = [x + a * (row & mask).bit_count() for x, row in zip(w, rows)]
+        return w
+
+    def eigenspace_bases(self):
+        """Integer bases of every V_j, built from the rows of the C_j.
+
+        V_0 is spanned by the all-ones vector.  For j >= 1 each row of C_j
+        is projected by sum_i alpha_i A_i = prod_{l != j} (A_1 - P_{l,1} I),
+        a scalar multiple of the minimal idempotent E_j, and the
+        projections are kept greedily, in row order, while they stay
+        independent modulo `linalg.PRIME`.  im(C_j^t) = V_0 + ... + V_j
+        makes them span V_j; a rank short of the multiplicity m_j raises
+        SchemeError.
+
+        Certificate, trusting neither alpha nor p: the bases are
+        independent over Q (independent mod p), every vector passes the
+        packed check A_1 w = P_{j,1} w with fields of bits(k max|w|) + 2
+        bits, and the dimensions sum to |Omega|.  Independent eigenvectors
+        for distinct eigenvalues that number |Omega| span everything, so
+        each basis spans its whole eigenspace.
         """
         if self._eigenbases is not None:
             return self._eigenbases
         d, n = self.d, self.n
         bases = {0: [[1] * n]}
-        dims_hint = {j: self.table.multiplicity(j) for j in range(d + 1)}
         for j in range(1, d + 1):
-            others = [l for l in range(d + 1) if l != j]
-            ech = IntEchelon(n)
+            alpha = self._annihilator(j)
+            want = self.table.multiplicity(j)
+            ech = ModEchelon(n)
             basis = []
             for m in self.incidence(j):
-                row = [(m >> t) & 1 for t in range(n)]
-                w = self.annihilate(row, others)
-                if any(w) and ech.add(w):
+                w = self._project(alpha, m)
+                if ech.add(w):
                     basis.append(w)
-                if ech.rank == dims_hint[j]:
-                    break
+                    if ech.rank == want:
+                        break
+            if ech.rank != want:
+                raise SchemeError(
+                    f"rows of C_{j} reach rank {ech.rank} modulo p = {ech.p}, "
+                    f"expected the multiplicity {want} of V_{j}")
             bases[j] = basis
         total = sum(len(b) for b in bases.values())
         if total != n:
             raise SchemeError(
                 f"eigenspace dimensions sum to {total}, expected {n}")
-        for j in range(1, d + 1):
+        for j, basis in bases.items():
             lam = self.P[j][1]
-            for w in bases[j]:
-                av = self.matvec_A1(w)
-                if av != [lam * x for x in w]:
-                    raise SchemeError(f"basis vector of V_{j} fails A_1 eigencheck")
+            bad = first_non_eigenvector(self.A[1], lam, basis)
+            if bad is not None:
+                raise SchemeError(f"basis vector {bad} of V_{j} fails the A_1 "
+                                  f"eigencheck for eigenvalue {lam}")
         self._eigenbases = bases
         return bases
 

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .clsets import (GenSet, check_cl, complement, construct_base_plane,
-                     construct_base_solid, construct_embedded,
-                     construct_hyperbolic_class, construct_point_pencil,
+from .clsets import (GenSet, VerificationError, check_cl, complement,
+                     construct_base_plane, construct_base_solid,
+                     construct_embedded, construct_hyperbolic_class,
+                     construct_point_pencil,
                      difference, get_context, profile_verdict,
                      is_regular_system, space_type,
                      test_spread_intersections, union, z_profile)
@@ -327,7 +328,9 @@ def criterion_7() -> CriterionResult:
     failing = 0
     for mask in res.solutions:
         gs = GenSet(ctx, mask)
-        assert is_regular_system(gs, 2)
+        if not is_regular_system(gs, 2):
+            raise VerificationError(
+                f"search solution {mask:#x} is not a 2-regular system of Q+(5,2)")
         rep = check_cl(gs)
         if not rep.is_cl and not rep.verdicts["eigenspace"]:
             failing += 1

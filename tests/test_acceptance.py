@@ -4,9 +4,12 @@ One test per criterion; each prints the pass/fail line of the underlying
 suite function, so `pytest -s tests/test_acceptance.py` shows the table.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from polarcl import suite
+from polarcl.clsets import VerificationError
 
 
 def _run(fn):
@@ -44,6 +47,19 @@ def test_criterion_06_intersection_distributions():
 def test_criterion_07_two_regular_systems():
     res = _run(suite.criterion_7)
     assert "fail the CL tests" in res.details
+
+
+def test_criterion_07_rejects_a_non_regular_solution(monkeypatch):
+    found = SimpleNamespace(solutions=[0], exhaustive=True)
+    monkeypatch.setattr(suite, "find_regular_systems",
+                        lambda sp, m, eigenspaces: found)
+    with pytest.raises(VerificationError, match="not a 2-regular system"):
+        suite.criterion_7()
+
+
+def test_criterion_07_rejects_under_optimize(run_under_optimize):
+    run_under_optimize(
+        [f"{__file__}::test_criterion_07_rejects_a_non_regular_solution"], 1)
 
 
 def test_criterion_08_parameter1_classification():

@@ -222,3 +222,14 @@ def test_verification_failure_exits_1(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("polarcl: verification failed: positive verdict")
     assert "Traceback" not in err
+
+
+def test_suite_manifest_records_the_corpus_seed(tmp_path, monkeypatch):
+    from polarcl import suite
+    passed = suite.CriterionResult(1, "count oracle", True, "stub")
+    monkeypatch.setattr(suite, "run_suite", lambda: [passed])
+    out = tmp_path / "suite.json"
+    assert run(["suite", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["manifest"]["seed"] == suite.CORPUS_SEED
+    assert [r["criterion"] for r in data["results"]] == [1]

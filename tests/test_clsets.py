@@ -170,6 +170,26 @@ def test_spread_intersections_w32():
         spread_test(gs, [0b111])  # not a spread
 
 
+def test_spreads_validated_once_per_context(monkeypatch):
+    ctx = clsets.CLContext(get_space_by_name("Q-(5,2)"))
+    spreads = find_spreads(ctx.space).solutions
+    checked = []
+
+    def counting(gs, m):
+        checked.append(gs.mask)
+        return is_regular_system(gs, m)
+    monkeypatch.setattr(clsets, "is_regular_system", counting)
+    for p in (0, 1):
+        rep = check_cl(construct_point_pencil(ctx, p), spreads=spreads)
+        assert rep.verdicts["spread_intersections"] is True
+    assert sorted(checked) == sorted(spreads)
+    checked.clear()
+    for _ in range(2):
+        with pytest.raises(GeometryError):
+            spread_test(construct_point_pencil(ctx, 0), spreads + [0b111])
+    assert checked == [0b111, 0b111]
+
+
 def test_regular_systems():
     ctx = ctx_of("W(3,2)")
     spreads = find_spreads(ctx.space).solutions

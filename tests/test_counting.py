@@ -13,7 +13,8 @@ from polarcl.counting import (CountingError, EigenvalueTable, binom2,
                               num_disjoint_from_generator, num_generators,
                               num_kspaces, num_kspaces_through_mspace,
                               num_points, parameter_b, parameter_c,
-                              pencil_size, q_binomial_theorem_check, qpow)
+                              pencil_size, q_binomial_theorem_check, qpow,
+                              regular_system_size)
 from polarcl.geometry import descriptor_from_name
 
 
@@ -202,3 +203,73 @@ def test_intersection_numbers_structure():
                 for k in range(d + 1):
                     assert degree_k(d, e, q, k) * p[i][j][k] == \
                         degree_k(d, e, q, i) * p[k][j][i]
+
+
+# -- exact checks that raise, also under python -O ------------------------------
+
+HALF = Fraction(1, 2)  # a non-integral q makes the integrality checks fire
+
+
+def _patched(monkeypatch, name, fn):
+    import polarcl.counting as counting
+    monkeypatch.setattr(counting, name, fn)
+
+
+def _wrong_c(mp):
+    orig = parameter_c
+    _patched(mp, "parameter_c", lambda d, e, q, i: orig(d, e, q, i) + (i == 2))
+    return intersection_numbers(3, 0, 2)
+
+
+def _wrong_degree_division(mp):
+    _patched(mp, "parameter_c", lambda d, e, q, i: 4)
+    return degree_k(2, 1, 2, 1)  # b_0 = 6 over c_1 = 4
+
+
+def _wrong_disjointness(mp):
+    _patched(mp, "eigenvalue_disjointness", lambda j, d, e, q: 0)
+    return EigenvalueTable(2, 1, 2)
+
+
+def _wrong_degree(mp):
+    _patched(mp, "degree_k", lambda d, e, q, i: 1)
+    return EigenvalueTable(2, 1, 2)
+
+
+def _wrong_generator_count(mp):
+    table = EigenvalueTable(2, 1, 2)
+    _patched(mp, "num_generators", lambda d, e, q: 16)  # W(3,2) has 15
+    return table.multiplicity(1)
+
+
+def _min_value_everywhere(mp):
+    _patched(mp, "eigenvalue_disjointness", lambda j, d, e, q: -2)
+    return min_eigenvalue_spaces(descriptor_from_name("W(3,2)"))
+
+
+COUNT_CHECKS = {
+    "gaussian-binomial": lambda mp: gaussian_binomial(2, 1, Fraction(3, 2)),
+    "num-kspaces": lambda mp: num_kspaces(1, 1, HALF, 0),
+    "num-generators": lambda mp: num_generators(1, 1, HALF),
+    "num-points": lambda mp: num_points(1, 1, HALF),
+    "through-mspace": lambda mp: num_kspaces_through_mspace(2, 1, HALF, 1, 0),
+    "pencil-size": lambda mp: pencil_size(2, 1, HALF),
+    "regular-system-size": lambda mp: regular_system_size(1, 1, HALF, 1),
+    "degree-division": _wrong_degree_division,
+    "table-degrees": _wrong_degree,
+    "table-disjointness": _wrong_disjointness,
+    "multiplicity": _wrong_generator_count,
+    "min-eigenvalue-spaces": _min_value_everywhere,
+    "intersection-numbers": _wrong_c,
+}
+
+
+@pytest.mark.parametrize("route", sorted(COUNT_CHECKS))
+def test_count_checks_raise(monkeypatch, route):
+    with pytest.raises(CountingError, match=r"expected"):
+        COUNT_CHECKS[route](monkeypatch)
+
+
+def test_count_checks_raise_under_optimize(run_under_optimize):
+    run_under_optimize([f"{__file__}::test_count_checks_raise"],
+                       len(COUNT_CHECKS))

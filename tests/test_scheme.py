@@ -267,3 +267,104 @@ def test_membership_agrees_with_basis_reduction():
                         ech.add(w)
                 assert sch.eigenspace_membership(v, S) == ech.contains(v), \
                     (name, sorted(S))
+
+
+# -- eigenspace bases: reference construction and corruption -------------------
+
+DESK_UP_TO_135 = ["Q+(5,2)", "Q(4,2)", "Q(6,2)", "Q-(5,2)", "W(3,2)",
+                  "W(3,3)", "W(5,2)", "H(3,4)"]
+
+
+def reference_eigenspace_bases(sch):
+    """The list-based construction: annihilate each C_j row with d list
+    matvecs and keep it if it is independent over Q (IntEchelon)."""
+    from polarcl.linalg import IntEchelon
+    d, n = sch.d, sch.n
+    bases = {0: [[1] * n]}
+    for j in range(1, d + 1):
+        others = [l for l in range(d + 1) if l != j]
+        ech = IntEchelon(n)
+        basis = []
+        for m in sch.incidence(j):
+            w = sch.annihilate([(m >> t) & 1 for t in range(n)], others)
+            if any(w) and ech.add(w):
+                basis.append(w)
+            if ech.rank == sch.table.multiplicity(j):
+                break
+        bases[j] = basis
+    return bases
+
+
+@pytest.mark.parametrize("name", DESK_UP_TO_135)
+def test_eigenspace_bases_match_reference(name):
+    sch = ctx_of(name)
+    assert sch.eigenspace_bases() == reference_eigenspace_bases(sch)
+
+
+def test_annihilator_expansion_matches_matvecs():
+    for name in ("W(3,2)", "Q(6,2)", "H(3,4)", "Q+(7,2)"):
+        sch = ctx_of(name)
+        for j in range(sch.d + 1):
+            alpha = sch._annihilator(j)
+            others = [l for l in range(sch.d + 1) if l != j]
+            for m in sch.incidence(max(j, 1))[:3]:
+                row = [(m >> t) & 1 for t in range(sch.n)]
+                assert sch._project(alpha, m) == sch.annihilate(row, others)
+
+
+def _fresh(name):
+    from polarcl.scheme import SchemeContext
+    return SchemeContext(get_space_by_name(name))
+
+
+def _entry_off_by_one(monkeypatch):
+    from polarcl.scheme import SchemeContext
+    project = SchemeContext._project
+    calls = []
+
+    def corrupt(self, alpha, mask):
+        w = project(self, alpha, mask)
+        if not calls:
+            w[5] += 1
+        calls.append(mask)
+        return w
+    monkeypatch.setattr(SchemeContext, "_project", corrupt)
+    _fresh("Q(6,2)").eigenspace_bases()
+
+
+def _alpha_off_by_one(monkeypatch):
+    from polarcl.scheme import SchemeContext
+    annihilator = SchemeContext._annihilator
+
+    def corrupt(self, j):
+        alpha = annihilator(self, j)
+        alpha[self.d] += 1
+        return alpha
+    monkeypatch.setattr(SchemeContext, "_annihilator", corrupt)
+    _fresh("Q(6,2)").eigenspace_bases()
+
+
+def _small_prime(monkeypatch):
+    import polarcl.linalg as linalg
+    monkeypatch.setattr(linalg, "PRIME", 5)  # divides a factor of the annihilator
+    _fresh("W(3,2)").eigenspace_bases()
+
+
+BASIS_CORRUPTIONS = {
+    "entry-off-by-one": (_entry_off_by_one, r"basis vector 0 of V_1 fails"),
+    "alpha-off-by-one": (_alpha_off_by_one, r"fails the A_1 eigencheck"),
+    "rank-short-mod-p": (_small_prime,
+                         r"rank 1 modulo p = 5, expected the multiplicity 9"),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(BASIS_CORRUPTIONS))
+def test_corrupted_bases_raise(monkeypatch, corruption):
+    route, message = BASIS_CORRUPTIONS[corruption]
+    with pytest.raises(SchemeError, match=message):
+        route(monkeypatch)
+
+
+def test_corrupted_bases_raise_under_optimize(run_under_optimize):
+    run_under_optimize([f"{__file__}::test_corrupted_bases_raise"],
+                       len(BASIS_CORRUPTIONS))

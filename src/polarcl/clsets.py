@@ -38,6 +38,7 @@ from fractions import Fraction
 from .counting import binom2, gaussian_binomial, pencil_size, qint, qpow
 from .enumeration import PolarSpace
 from .geometry import GeometryError
+from .linalg import spread
 from .scheme import RestrictedScheme, SchemeContext, _bits
 
 
@@ -95,6 +96,11 @@ class CLContext:
         self.disjointness = qint(self.q, binom2(self.d - 1) + self.e * (self.d - 1))
         self._restricted: dict[str, RestrictedScheme] = {}
         self.valid_spreads: set[int] = set()  # masks already checked as spreads
+        # each generator's points as packed fields: a sum over members
+        # counts at most n per field, so it never carries
+        width = self.n.bit_length()
+        self.point_fields = [spread(pm, width) for pm in space.gen_point_masks]
+        self.all_points = spread((1 << len(space.points)) - 1, width)
 
     def restricted(self, label: str) -> RestrictedScheme:
         if label not in self._restricted:
@@ -329,18 +335,14 @@ def is_regular_system(gs: GenSet, m: int) -> bool:
     """m-regular system: every point on exactly m members.
 
     Verified twice, per the kernel characterisation: (a) a direct count
-    of members through every point, (b) the matrix identity A chi = m j.
-    Both routes must agree; a disagreement raises VerificationError.
+    of members through every point, as the sum of the members' packed
+    point sets, (b) the matrix identity A chi = m j.  Both routes must
+    agree; a disagreement raises VerificationError.
     """
-    sp = gs.ctx.space
-    counts = [0] * len(sp.points)
-    for g in gs.members():
-        pm = sp.gen_point_masks[g]
-        for p in _bits(pm):
-            counts[p] += 1
-    direct = all(c == m for c in counts)
-    rows = sp.point_gen_masks()
-    matrix = all((row & gs.mask).bit_count() == m for row in rows)
+    ctx, mask = gs.ctx, gs.mask
+    direct = sum([ctx.point_fields[g] for g in _bits(mask)]) == m * ctx.all_points
+    rows = ctx.space.point_gen_masks()
+    matrix = all((row & mask).bit_count() == m for row in rows)
     if direct != matrix:
         raise VerificationError(
             f"{m}-regular system: the point counts say {direct}, "

@@ -209,14 +209,17 @@ def find_spreads(space, budget=None, max_solutions=None,
     gen_pts = space.gen_point_masks
     res = SearchResult("spread")
     all_pts = (1 << npts) - 1
+    clash = [0] * space.n_generators  # generators sharing a point with g
+    for g, pm in enumerate(gen_pts):
+        for p in _bits(pm):
+            clash[g] |= point_rows[p]
     avail_all = (1 << space.n_generators) - 1
     pre_covered = 0
     for g in containing:
         if gen_pts[g] & pre_covered:
             raise ValueError("preselected generators are not pairwise disjoint")
         pre_covered |= gen_pts[g]
-        for p in _bits(gen_pts[g]):
-            avail_all &= ~point_rows[p]
+        avail_all &= ~clash[g]
 
     def rec(covered: int, avail: int, chosen: list[int]):
         res.nodes += 1
@@ -245,12 +248,8 @@ def find_spreads(space, budget=None, max_solutions=None,
                     break
         cand = best[0]
         for g in _bits(cand):
-            pm = gen_pts[g]
-            new_avail = avail
-            for p in _bits(pm):
-                new_avail &= ~point_rows[p]
             chosen.append(g)
-            rec(covered | pm, new_avail, chosen)
+            rec(covered | gen_pts[g], avail & ~clash[g], chosen)
             chosen.pop()
             if not res.exhaustive:
                 return

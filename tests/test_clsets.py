@@ -200,6 +200,13 @@ def test_regular_systems():
     full = GenSet(ctx, (1 << ctx.n) - 1)
     assert is_regular_system(full, pencil_size(2, 1, 2))
     assert regular_system_m(GenSet(ctx, 0b11)) is None
+    # the packed count against a plain one, m beyond what a field holds too
+    sp = ctx.space
+    for mask in (0, spreads[0], (1 << ctx.n) - 1, 0b11, spreads[0] | spreads[1]):
+        counts = {sum((sp.gen_point_masks[g] >> p) & 1 for g in range(ctx.n)
+                      if (mask >> g) & 1) for p in range(len(sp.points))}
+        for m in (-1, 0, 1, 2, 3, ctx.n, ctx.n + 1, 16, 17, 1 << 40):
+            assert is_regular_system(GenSet(ctx, mask), m) == (counts == {m})
 
 
 def test_construction_parameters():

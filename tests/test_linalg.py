@@ -26,20 +26,18 @@ def test_mod_echelon_agrees_with_rational_echelon():
         assert mod.rank == rat.rank
 
 
-def test_mod_echelon_field_width():
-    for n in (1, 270, 1120):
-        bits = 8 * ModEchelon(n).nbytes
-        assert bits >= ((PRIME - 1).bit_length()
-                        + (n * (PRIME - 1) ** 2).bit_length() + 1)
-        assert bits - 8 < ((PRIME - 1).bit_length()
-                           + (n * (PRIME - 1) ** 2).bit_length() + 1)
-
-
-def test_mod_echelon_dependence_is_modular():
-    # (1, p) and (1, 0) agree modulo p, so the second adds nothing there
-    ech = ModEchelon(2)
-    assert ech.add([1, PRIME])
-    assert not ech.add([1, 0])
+def test_mod_echelon_worst_field_growth():
+    # rows e_i + (p - 1) e_last for i < n - 1: reducing (1, ..., 1, x) adds
+    # (p - 1)^2 to the last field n - 1 times, the largest growth possible
+    n, p = 200, PRIME
+    ech = ModEchelon(n)
+    for i in range(n - 1):
+        assert ech.add([int(t == i) + (p - 1) * (t == n - 1) for t in range(n)])
+    # the last field ends at x + (n - 1) (p - 1)^2 = x + n - 1 (mod p); the
+    # first vector is dependent mod p only, not over Q
+    assert not ech.add([1] * (n - 1) + [p - (n - 1)])
+    assert ech.add([1] * (n - 1) + [p - 1])
+    assert ech.rank == n
 
 
 def test_spread():

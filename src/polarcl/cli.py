@@ -198,7 +198,8 @@ def cmd_search(args) -> int:
         raise GeometryError(f"unknown search target {args.target}")
     manifest = make_manifest(
         args.argv, space.desc,
-        completeness="exhaustive" if res.exhaustive else "budget-truncated")
+        completeness="exhaustive" if res.exhaustive
+        else f"{res.stopped_by}-truncated")
     manifest["timing"]["wall_time_s"] = _time.time() - t0
     payload = {"manifest": manifest, **res.to_json()}
     if args.out:

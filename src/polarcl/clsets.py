@@ -37,16 +37,9 @@ from fractions import Fraction
 
 from .counting import binom2, gaussian_binomial, pencil_size, qint, qpow
 from .enumeration import PolarSpace
-from .geometry import GeometryError
+from .geometry import GeometryError, VerificationError
 from .linalg import spread
 from .scheme import RestrictedScheme, SchemeContext, _bits
-
-
-class VerificationError(Exception):
-    """An exact check found a value other than the one theory or a second
-    route requires: a positive verdict with an impossible parameter,
-    two routes to one fact that disagree, a non-integral closed form, or
-    a search solution that its certificate rejects."""
 
 
 def space_type(desc) -> str:

@@ -20,8 +20,9 @@ from __future__ import annotations
 from .counting import num_generators, num_kspaces
 from .gf import field
 from .geometry import (Form, GeometryError, PolarSpaceDescriptor,
-                       all_hyperplanes, all_projective_points,
-                       classify_hyperplane_section, descriptor, gf_rref, perp)
+                       VerificationError, all_hyperplanes,
+                       all_projective_points, classify_hyperplane_section,
+                       descriptor, gf_rref, perp)
 from .linalg import gf_reduce
 
 DEFAULT_GENERATOR_BUDGET = 10 ** 6
@@ -312,7 +313,8 @@ def symplectic_from_parabolic_map(q_space: PolarSpace, w_space: PolarSpace):
     X0 coordinate sends a generator of the quadric to a generator of the
     symplectic space whose form is the polarization.  The remaining pairs
     (X1,X2),(X3,X4),... are permuted into the (e | e') coordinate order
-    of the standard symplectic basis.
+    of the standard symplectic basis.  The map is certified as an
+    isometry of the dual polar graphs before it is returned.
     """
     d = q_space.desc.rank
     gf = q_space.gf
@@ -326,5 +328,28 @@ def symplectic_from_parabolic_map(q_space: PolarSpace, w_space: PolarSpace):
             img.append(tuple(v))
         img_rows = gf_rref(img, gf)[0]
         mapping.append(w_space.gen_index[img_rows])
-    assert sorted(mapping) == list(range(w_space.n_generators))
+    certify_isometry(q_space, w_space, mapping)
     return mapping
+
+
+def certify_isometry(src: PolarSpace, dst: PolarSpace, mapping) -> None:
+    """Raise VerificationError unless the generator map preserves the
+    dual polar distance on every pair, and so every relation A_i.
+
+    Distinct generators are at distance >= 1, so their images differ:
+    the map is injective, and with equal generator counts a bijection.
+    """
+    if len(mapping) != src.n_generators or \
+            src.n_generators != dst.n_generators:
+        raise VerificationError(
+            f"map {src.name()} -> {dst.name()} has {len(mapping)} images "
+            f"for {src.n_generators} -> {dst.n_generators} generators")
+    for g in range(src.n_generators):
+        for h in range(g + 1, src.n_generators):
+            found = dst.distance(mapping[g], mapping[h])
+            expected = src.distance(g, h)
+            if found != expected:
+                raise VerificationError(
+                    f"map {src.name()} -> {dst.name()} sends the pair "
+                    f"({g}, {h}) at distance {expected} to "
+                    f"({mapping[g]}, {mapping[h]}) at distance {found}")

@@ -43,6 +43,14 @@ class GeometryError(ValueError):
     pass
 
 
+class VerificationError(Exception):
+    """An exact check found a value other than the one theory or a second
+    route requires: a positive verdict with an impossible parameter,
+    two routes to one fact that disagree, a non-integral closed form, a
+    model map that is not an isometry, or a search solution that its
+    certificate rejects."""
+
+
 @dataclass(frozen=True)
 class PolarSpaceDescriptor:
     """A polar space family at a given rank and field order.

@@ -5,7 +5,9 @@ Every search returns a SearchResult carrying machine-checkable
 certificates (the sets themselves, re-verified before being reported),
 a completeness flag, and the node count.  Node budgets come from the
 caller or the POLARCL_BUDGET_NODES environment variable; exceeding one
-truncates the result and clears the exhaustive flag, it never raises.
+truncates the result, it never raises.  A truncated result is not
+exhaustive and says in `stopped_by` which limit fired: the node budget
+("budget") or the caller's solution limit ("limit").
 
 Spread search is exact cover over the point-generator incidence with the
 usual lowest-branching-column heuristic; every solution is reached along
@@ -17,7 +19,7 @@ Regular systems, tight sets and bounded CL sets share one in/out engine
 and keeps exact counters per relation: choosing object k adds one to
 every counter in inc[k], and cov[p] holds the objects that bump counter
 p.  Each counter must stay within bounds lo[p] <= count <= hi[p], where
-the count can still grow by the undecided part of cov[p].
+the count can still grow by remaining[p], the undecided part of cov[p].
 
 - Fixed targets (regular systems): the counters are points, each bound
   to exactly m from the start.
@@ -25,14 +27,44 @@ the count can still grow by the undecided part of cov[p].
   themselves.  An undecided counter only has to stay at or below the
   larger of its two targets; deciding k pins counter k to its member or
   non-member target.
-- Incremental recheck: a child is entered only from a feasible parent,
-  and one decision changes only the counters in inc[k] and the one it
-  pins, so the child rechecks just those.  The root checks them all.
-- Node counts: every entered node counts, including those that die on
-  the budget, the size bound or a counter.  Two prunes act before the
-  child is entered and do not count: an include that would push a
-  fixed-target counter above its target, and an exclude whose pinned
-  counter already exceeds its non-member target.
+- The size bound is one more fixed counter: the chosen objects, bound
+  to exactly `size`.
+
+Packed counters (SWAR arithmetic: Lamport, CACM 18(8), 1975; Knuth,
+TAOCP 4A, 7.1.3).  The whole node state is one Python int.  Every
+counter p has two W-bit fields, H = hi - count and L = count +
+remaining - lo, each stored plus the bias 2^(W-1); a relation's H fields
+come first, then its L fields, and the relations follow each other.  A
+field is >= 0 exactly when its top bit is set, so the node is feasible
+exactly when `state & guard == guard`, guard holding every top bit.
+Deciding k lowers remaining[p] for each p in inc[k]: an include takes
+spread(inc[k]) off the H fields, an exclude takes it off the L fields,
+and a pin adds the change of bounds at counter k, from [0, max] to
+[pin, pin], to its two fields.  Each decision is one precomputed add.
+
+Field width.  With B = max(n, largest target), every field value v
+stays in [-B, B]: -|cov[p]| <= hi - count <= hi, and -lo <= count +
+remaining - lo <= |cov[p]|, since |cov[p]| <= n and the bounds are
+targets.  W = bits(B) + 2 gives |v| <= B < 2^(W-2), so the biased field
+v + 2^(W-1) lies strictly between 2^(W-2) and 3 2^(W-2): inside its own
+W bits, with its top bit set exactly when v >= 0.  No add or subtract
+borrows across fields, so the big-int sums are the field-wise sums.
+
+Guards and node counts.  Every entered node counts, including those
+that die on the budget, the size bound or a counter.  A child is entered
+only from a feasible parent, and one decision changes only the fields it
+touches, so the whole-guard test equals a recheck of just those.  Two
+prunes act before the child is entered and do not count: an include is
+dropped when a fixed-target H field goes negative (`fixed` guard), an
+exclude when a pinned H field does (`pinned` guard); the size counter is
+in neither, so it only fails at entry.
+
+Explicit stack.  A node is (k, state, mask), all immutable, so nothing
+is undone.  A node pushes its out-child and then its in-child; the
+in-child is popped first and its whole subtree before the out-child, so
+the preorder, the node counts and the solution order are those of the
+recursion "in, then out", while the depth is bounded only by memory.
+When the budget or the solution limit fires, the pass stops.
 """
 
 from __future__ import annotations
@@ -45,6 +77,7 @@ from .clsets import (GenSet, VerificationError, check_cl,
                      space_type)
 from .counting import regular_system_size
 from .gq import GQ, classify_tight_set, tight_set_test
+from .linalg import spread
 from .scheme import _bits
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -61,9 +94,13 @@ def node_budget(override: int | None = None) -> int:
 class SearchResult:
     kind: str
     solutions: list = field(default_factory=list)
-    exhaustive: bool = True
     nodes: int = 0
     meta: dict = field(default_factory=dict)
+    stopped_by: str | None = None  # "budget" or "limit" once truncated
+
+    @property
+    def exhaustive(self) -> bool:
+        return self.stopped_by is None
 
     def to_json(self):
         return {
@@ -86,79 +123,71 @@ def _certify(ok: bool, what: str) -> None:
 # -- the in/out engine ------------------------------------------------------------
 
 
-class _Counters:
-    """The counters and bounds of one relation of an in/out pass."""
-
-    __slots__ = ("cov", "pins", "bumps", "recheck", "count", "lo", "hi")
-
-    def __init__(self, inc, cov, target):
-        self.cov = cov
-        self.pins = target if isinstance(target, tuple) else None
-        own = 1 if self.pins else 0
-        self.bumps = [list(_bits(m)) for m in inc]
-        self.recheck = [list(_bits(m | own << k)) for k, m in enumerate(inc)]
-        self.count = [0] * len(cov)
-        self.lo = [0 if self.pins else target] * len(cov)
-        self.hi = [max(self.pins) if self.pins else target] * len(cov)
-
-
 def _in_out(res: SearchResult, limit: int, n: int, size: int, rels, leaf,
             max_solutions=None) -> list[int]:
     """One in/out pass over objects 0..n-1; see the module docstring.
 
-    `rels` holds (inc, cov, target) per relation.  An int target binds
-    every counter to exactly that count; a (member, non-member) pair
-    says counter k is object k, pinned to one of the two once decided.
-    Returns the chosen sets of `size` objects that meet every count and
-    that `leaf(mask)` accepts, in the order found.
+    `rels` holds (inc, cov, target) per relation, with cov[p] the objects
+    whose inc holds p.  An int target binds every counter to exactly that
+    count; a (member, non-member) pair says counter k is object k, pinned
+    to one of the two once decided.  Returns the chosen sets of `size`
+    objects that meet every count and that `leaf(mask)` accepts, in the
+    order found.
     """
-    rs = [_Counters(*rel) for rel in rels]
-    fixed = [r for r in rs if not r.pins]
-    pinning = [r for r in rs if r.pins]
+    # the size bound is one more fixed counter, tested at entry only
+    counters = [*rels, ([1] * n, [(1 << n) - 1], size)]
+    width = max([n] + [max(t) if isinstance(t, tuple) else t
+                       for _, _, t in counters]).bit_length() + 2
+    bias = 1 << width - 1
+    state = guard = fixed = pinned = 0
+    step_in, step_out = [0] * n, [0] * n
+    at = 0  # bit offset of the relation's first H field
+    for r, (inc, cov, target) in enumerate(counters):
+        pins = target if isinstance(target, tuple) else None
+        lo, hi = (0, max(pins)) if pins else (target, target)
+        l_at = at + width * len(cov)  # the L fields follow the H fields
+        ones = spread((1 << len(cov)) - 1, width)
+        guard |= (ones << at | ones << l_at) * bias
+        if pins:
+            pinned |= ones * bias << at
+        elif r < len(rels):
+            fixed |= ones * bias << at
+        state += (hi + bias) * ones << at
+        for p, m in enumerate(cov):
+            state += (m.bit_count() - lo + bias) << (l_at + width * p)
+        for k in range(n):
+            s = spread(inc[k], width)
+            step_in[k] -= s << at
+            step_out[k] -= s << l_at
+            if pins:  # counter k leaves [0, hi] for [pin, pin]
+                h_k, l_k = at + width * k, l_at + width * k
+                step_in[k] += (pins[0] - hi << h_k) - (pins[0] << l_k)
+                step_out[k] += (pins[1] - hi << h_k) - (pins[1] << l_k)
+        at = l_at + width * len(cov)
+
     found: list[int] = []
-
-    def feasible(k: int, todo) -> bool:
-        for r, ps in zip(rs, todo):
-            count, cov, lo, hi = r.count, r.cov, r.lo, r.hi
-            for p in ps:
-                c = count[p]
-                if c > hi[p] or c + (cov[p] >> k).bit_count() < lo[p]:
-                    return False
-        return True
-
-    def rec(k: int, mask: int, chosen: int, todo):
-        res.nodes += 1
-        if res.nodes > limit or (max_solutions is not None
-                                 and len(found) >= max_solutions):
-            res.exhaustive = False
-            return
-        if chosen > size or chosen + (n - k) < size or not feasible(k, todo):
-            return
+    nodes = res.nodes
+    stack = [(0, state, 0)]
+    while stack:
+        k, state, mask = stack.pop()
+        nodes += 1
+        if nodes > limit or (max_solutions is not None
+                             and len(found) >= max_solutions):
+            res.stopped_by = "budget" if nodes > limit else "limit"
+            break
+        if state & guard != guard:
+            continue
         if k == n:
             if leaf(mask):
                 found.append(mask)
-            return
-        nxt = [r.recheck[k] for r in rs]
-        if all(r.count[p] < r.hi[p] for r in fixed for p in r.bumps[k]):
-            for r in pinning:
-                r.lo[k] = r.hi[k] = r.pins[0]
-            for r in rs:
-                for p in r.bumps[k]:
-                    r.count[p] += 1
-            rec(k + 1, mask | 1 << k, chosen + 1, nxt)
-            for r in rs:
-                for p in r.bumps[k]:
-                    r.count[p] -= 1
-            if not res.exhaustive:
-                return  # the pass is over; its counters are dropped
-        for r in pinning:
-            r.lo[k] = r.hi[k] = r.pins[1]
-        if all(r.count[k] <= r.hi[k] for r in pinning):
-            rec(k + 1, mask, chosen, nxt)
-        for r in pinning:
-            r.lo[k], r.hi[k] = 0, max(r.pins)
-
-    rec(0, 0, 0, [range(len(r.cov)) for r in rs])
+            continue
+        out = state + step_out[k]
+        if out & pinned == pinned:
+            stack.append((k + 1, out, mask))
+        into = state + step_in[k]
+        if into & fixed == fixed:
+            stack.append((k + 1, into, mask | 1 << k))
+    res.nodes = nodes
     return found
 
 
@@ -171,12 +200,19 @@ def find_regular_systems(space, m: int, eigenspaces=None, budget=None,
 
     In/out decisions over the generators, every point bound to exactly m
     chosen generators.  Every solution is re-verified by the dual
-    regular-system check.
+    regular-system check.  A negative m or an eigenspace index outside
+    0..d raises ValueError.
     """
+    if m < 0:
+        raise ValueError(f"regular systems need m >= 0, got m = {m}")
+    bad = sorted(j for j in eigenspaces or () if not 0 <= j <= space.d)
+    if bad:
+        raise ValueError(f"eigenspace indices {bad} are outside "
+                         f"0..{space.d} for {space.name()}")
     ctx = get_context(space)
     kind = f"regular_system(m={m})"
     if m == 0:
-        return SearchResult(kind, [0], True, 1)
+        return SearchResult(kind, [0], nodes=1)
     res = SearchResult(kind)
 
     def leaf(mask: int) -> bool:
@@ -224,10 +260,10 @@ def find_spreads(space, budget=None, max_solutions=None,
     def rec(covered: int, avail: int, chosen: list[int]):
         res.nodes += 1
         if res.nodes > limit:
-            res.exhaustive = False
+            res.stopped_by = "budget"
             return
         if max_solutions is not None and len(res.solutions) >= max_solutions:
-            res.exhaustive = False
+            res.stopped_by = "limit"
             return
         if covered == all_pts:
             mask = sum(1 << g for g in chosen)
@@ -251,7 +287,7 @@ def find_spreads(space, budget=None, max_solutions=None,
             chosen.append(g)
             rec(covered | gen_pts[g], avail & ~clash[g], chosen)
             chosen.pop()
-            if not res.exhaustive:
+            if res.stopped_by:
                 return
 
     rec(pre_covered, avail_all, list(containing))
@@ -319,7 +355,7 @@ def find_cl_parameter1(space, class_label: str | None = None,
     def rec(cand: int, start: int):
         res.nodes += 1
         if res.nodes > limit:
-            res.exhaustive = False
+            res.stopped_by = "budget"
             return
         if len(clique) == target:
             mask = sum(1 << universe[t] for t in clique)
@@ -341,7 +377,7 @@ def find_cl_parameter1(space, class_label: str | None = None,
             clique.append(t)
             rec(cand & meets[t], t + 1)
             clique.pop()
-            if not res.exhaustive:
+            if res.stopped_by:
                 return
 
     rec((1 << nu) - 1, 0)

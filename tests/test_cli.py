@@ -233,3 +233,33 @@ def test_suite_manifest_records_the_corpus_seed(tmp_path, monkeypatch):
     data = json.loads(out.read_text())
     assert data["manifest"]["seed"] == suite.CORPUS_SEED
     assert [r["criterion"] for r in data["results"]] == [1]
+
+
+def test_bad_regular_search_input_exits_2(tmp_path, capsys):
+    space_file = tmp_path / "w32.json"
+    run(["space", "enumerate", "--space-name", "W(3,2)", "--out",
+         str(space_file)])
+    for extra, offending in ((["--eigenspaces", "0,7"], "[7]"),
+                             (["--eigenspaces=-1"], "[-1]"),
+                             (["--m", "-1"], "m = -1")):
+        capsys.readouterr()
+        assert run(["search", "regular", "--space", str(space_file),
+                    *extra]) == 2, extra
+        err = capsys.readouterr().err
+        assert err.startswith("polarcl: error:") and offending in err, err
+        assert "Traceback" not in err
+
+
+def test_search_manifest_says_why_it_stopped(tmp_path):
+    space_file = tmp_path / "w32.json"
+    run(["space", "enumerate", "--space-name", "W(3,2)", "--out",
+         str(space_file)])
+    for extra, completeness in ((["--limit", "2"], "limit-truncated"),
+                                (["--budget", "5"], "budget-truncated"),
+                                ([], "exhaustive")):
+        out = tmp_path / "spreads.json"
+        assert run(["search", "spread", "--space", str(space_file),
+                    "--out", str(out), *extra]) == 0
+        data = json.loads(out.read_text())
+        assert data["manifest"]["completeness"] == completeness, extra
+        assert data["exhaustive"] == (completeness == "exhaustive")

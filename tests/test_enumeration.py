@@ -4,9 +4,11 @@ import pytest
 
 from polarcl.counting import (num_disjoint_from_generator, num_kspaces,
                               num_kspaces_through_mspace, pencil_size)
-from polarcl.enumeration import (BudgetError, PolarSpace, get_space,
-                                 get_space_by_name)
-from polarcl.geometry import GeometryError, descriptor
+from polarcl.clsets import GenSet, check_cl, get_context
+from polarcl.enumeration import (BudgetError, PolarSpace, certify_isometry,
+                                 get_space, get_space_by_name,
+                                 symplectic_from_parabolic_map)
+from polarcl.geometry import GeometryError, VerificationError, descriptor
 
 ALL_SPACES = ["Q+(5,2)", "Q+(7,2)", "Q(4,2)", "Q(6,2)", "Q-(5,2)",
               "W(3,2)", "W(3,3)", "W(5,2)", "H(3,4)", "H(4,4)"]
@@ -167,3 +169,42 @@ def test_get_space_caches():
     a = get_space("W", 2, 2)
     b = get_space_by_name("W(3,2)")
     assert a is b
+
+
+def _nucleus_map():
+    q6, w5 = get_space_by_name("Q(6,2)"), get_space_by_name("W(5,2)")
+    return q6, w5, symplectic_from_parabolic_map(q6, w5)
+
+
+def test_nucleus_map_with_two_images_swapped_raises():
+    q6, w5, mapping = _nucleus_map()
+    certify_isometry(q6, w5, mapping)
+    swapped = list(mapping)
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    with pytest.raises(VerificationError, match="at distance"):
+        certify_isometry(q6, w5, swapped)
+    with pytest.raises(VerificationError, match="images"):
+        certify_isometry(q6, w5, mapping[:-1])
+
+
+def test_nucleus_map_certificate_runs_under_optimize(run_under_optimize):
+    run_under_optimize(
+        [f"{__file__}::test_nucleus_map_with_two_images_swapped_raises"], 1)
+
+
+def test_nucleus_map_transports_cl_verdicts():
+    # pencils, unions and differences of two pencils on Q(6,2), carried to
+    # W(5,2) along the map, get the same battery verdicts there
+    q6, w5, mapping = _nucleus_map()
+    cq, cw = get_context(q6), get_context(w5)
+    rows = q6.point_gen_masks()
+    sets = [rows[p] for p in range(0, len(q6.points), 9)]
+    sets += [rows[a] | rows[b] for a, b in ((0, 5), (3, 40), (7, 62))]
+    sets += [rows[a] & ~rows[b] for a, b in ((0, 5), (3, 40), (7, 62))]
+    for mask in sets:
+        image = sum(1 << mapping[g] for g in range(q6.n_generators)
+                    if (mask >> g) & 1)
+        rq, rw = check_cl(GenSet(cq, mask)), check_cl(GenSet(cw, image))
+        assert rq.verdicts == rw.verdicts and rq.x == rw.x, mask
+    assert any(check_cl(GenSet(cq, m)).is_cl for m in sets)
+    assert not all(check_cl(GenSet(cq, m)).is_cl for m in sets)

@@ -3,9 +3,11 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polarcl
 from polarcl import search
@@ -15,10 +17,11 @@ from polarcl.clsets import (GenSet, check_cl, construct_base_solid,
                             is_regular_system, union)
 from polarcl.enumeration import get_space_by_name
 from polarcl.gq import GQ
-from polarcl.search import (VerificationError, classify_parameter1,
-                            find_cl_bounded, find_cl_parameter1,
-                            find_regular_systems, find_spreads,
-                            find_tight_sets, max_disjoint_in,
+from polarcl.scheme import _bits
+from polarcl.search import (SearchResult, VerificationError,
+                            classify_parameter1, find_cl_bounded,
+                            find_cl_parameter1, find_regular_systems,
+                            find_spreads, find_tight_sets, max_disjoint_in,
                             union_of_pencils_decomposition)
 
 
@@ -311,6 +314,223 @@ def test_in_out_engine_solutions_and_nodes(call, expected):
     assert (len(res.solutions), res.nodes, res.exhaustive) == expected
 
 
+@pytest.mark.parametrize("call, stopped_by", [
+    pytest.param(lambda: find_regular_systems(_space("Q+(5,2)"), 2, budget=777),
+                 "budget", id="regular-budget"),
+    pytest.param(lambda: find_regular_systems(_space("Q+(5,2)"), 2,
+                                              max_solutions=30),
+                 "limit", id="regular-max-solutions"),
+    pytest.param(lambda: find_spreads(_space("W(3,2)"), max_solutions=2),
+                 "limit", id="spread-max-solutions"),
+    pytest.param(lambda: find_spreads(_space("W(3,2)"), budget=5),
+                 "budget", id="spread-budget"),
+    pytest.param(lambda: find_cl_parameter1(_space("W(3,2)"), budget=5),
+                 "budget", id="cl-parameter1-budget"),
+    pytest.param(lambda: find_cl_bounded(_space("W(3,2)"), 2),
+                 None, id="cl-exhaustive"),
+])
+def test_searches_say_which_limit_fired(call, stopped_by):
+    res = call()
+    assert res.stopped_by == stopped_by
+    assert res.exhaustive == (stopped_by is None)
+
+
+# -- the in/out engine against the counter-by-counter reference ---------------
+
+
+class _Counters:
+    """The counters and bounds of one relation of a reference pass."""
+
+    __slots__ = ("cov", "pins", "bumps", "recheck", "count", "lo", "hi")
+
+    def __init__(self, inc, cov, target):
+        self.cov = cov
+        self.pins = target if isinstance(target, tuple) else None
+        own = 1 if self.pins else 0
+        self.bumps = [list(_bits(m)) for m in inc]
+        self.recheck = [list(_bits(m | own << k)) for k, m in enumerate(inc)]
+        self.count = [0] * len(cov)
+        self.lo = [0 if self.pins else target] * len(cov)
+        self.hi = [max(self.pins) if self.pins else target] * len(cov)
+
+
+def _reference_in_out(res, limit, n, size, rels, leaf, max_solutions=None):
+    """The recursive engine that updates and rechecks one counter at a
+    time; `res` needs `nodes` and `exhaustive`."""
+    rs = [_Counters(*rel) for rel in rels]
+    fixed = [r for r in rs if not r.pins]
+    pinning = [r for r in rs if r.pins]
+    found = []
+
+    def feasible(k, todo):
+        for r, ps in zip(rs, todo):
+            for p in ps:
+                c = r.count[p]
+                if c > r.hi[p] or c + (r.cov[p] >> k).bit_count() < r.lo[p]:
+                    return False
+        return True
+
+    def rec(k, mask, chosen, todo):
+        res.nodes += 1
+        if res.nodes > limit or (max_solutions is not None
+                                 and len(found) >= max_solutions):
+            res.exhaustive = False
+            return
+        if chosen > size or chosen + (n - k) < size or not feasible(k, todo):
+            return
+        if k == n:
+            if leaf(mask):
+                found.append(mask)
+            return
+        nxt = [r.recheck[k] for r in rs]
+        if all(r.count[p] < r.hi[p] for r in fixed for p in r.bumps[k]):
+            for r in pinning:
+                r.lo[k] = r.hi[k] = r.pins[0]
+            for r in rs:
+                for p in r.bumps[k]:
+                    r.count[p] += 1
+            rec(k + 1, mask | 1 << k, chosen + 1, nxt)
+            for r in rs:
+                for p in r.bumps[k]:
+                    r.count[p] -= 1
+            if not res.exhaustive:
+                return
+        for r in pinning:
+            r.lo[k] = r.hi[k] = r.pins[1]
+        if all(r.count[k] <= r.hi[k] for r in pinning):
+            rec(k + 1, mask, chosen, nxt)
+        for r in pinning:
+            r.lo[k], r.hi[k] = 0, max(r.pins)
+
+    rec(0, 0, 0, [range(len(r.cov)) for r in rs])
+    return found
+
+
+def _transpose(inc, ncounters):
+    return [sum(1 << k for k, m in enumerate(inc) if (m >> p) & 1)
+            for p in range(ncounters)]
+
+
+def _both_engines(n, size, rels, limit=10 ** 9, max_solutions=None,
+                  leaf=lambda mask: True):
+    ref = SimpleNamespace(nodes=0, exhaustive=True)
+    ref_found = _reference_in_out(ref, limit, n, size, rels, leaf,
+                                  max_solutions)
+    res = SearchResult("engine")
+    found = search._in_out(res, limit, n, size, rels, leaf, max_solutions)
+    return ((found, res.nodes, res.exhaustive),
+            (ref_found, ref.nodes, ref.exhaustive))
+
+
+@st.composite
+def _in_out_instances(draw):
+    n = draw(st.integers(0, 12))
+    sizes = [draw(st.integers(0, n))]
+
+    def sparse(width):  # each bit set with probability 1/4
+        full = st.integers(0, (1 << width) - 1)
+        return [draw(full) & draw(full) for _ in range(n)]
+
+    rels = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["pinned", "fixed", "cover"]))
+        if kind == "pinned":  # counter k is object k
+            inc = sparse(n)
+            target = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+            rels.append((inc, _transpose(inc, n), target))
+            continue
+        npts = draw(st.integers(1, 5))
+        inc = sparse(npts)
+        target = draw(st.integers(0, 2))
+        if kind == "cover" and n:  # plant an exact cover, target 1
+            owner = [draw(st.integers(0, n - 1)) for _ in range(npts)]
+            for k in set(owner):
+                inc[k] = sum(1 << p for p, o in enumerate(owner) if o == k)
+            sizes.append(len(set(owner)))
+            target = 1
+        rels.append((inc, _transpose(inc, npts), target))
+    return (n, draw(st.sampled_from(sizes)), rels,
+            draw(st.just(10 ** 9) | st.integers(1, 300)),
+            draw(st.none() | st.integers(0, 4)),
+            draw(st.integers(0, 3)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_in_out_instances())
+def test_in_out_engine_matches_reference(instance):
+    n, size, rels, limit, max_solutions, salt = instance
+    new, ref = _both_engines(n, size, rels, limit, max_solutions,
+                             lambda mask: mask % (salt + 1) == 0)
+    assert new == ref
+
+
+@pytest.mark.parametrize("n, pin", [(5, 7), (6, 6)])
+def test_in_out_engine_fields_at_the_width_bound(n, pin):
+    # B = max(n, pin).  The pinned relation bumps nothing, so its H
+    # fields start at hi = pin and an include pins L_k to 0 + 0 - pin.
+    # A fixed counter over all n objects with target n starts with H = n
+    # and every include is entered; with target 0 it starts with L = n and
+    # only the empty set survives.  Fields reach +B and -B in entered
+    # nodes, next to neighbours that a borrow would corrupt.
+    pinned = ([0] * n, [0] * n, (pin, 0))
+    everything = ([1] * n, [(1 << n) - 1])
+    new, ref = _both_engines(n, n, [pinned, (*everything, n)])
+    assert new == ref and new[0] == []
+    new, ref = _both_engines(n, 0, [pinned, (*everything, 0)])
+    assert new == ref and new[0] == [0]
+
+
+def test_in_out_engine_needs_no_recursion():
+    # Q(6,2) has 135 generators: the recursive engine went one frame per
+    # decision and died at depth 100
+    code = """
+import sys
+sys.setrecursionlimit(100)
+from polarcl.enumeration import get_space_by_name
+from polarcl.search import find_regular_systems
+res = find_regular_systems(get_space_by_name("Q(6,2)"), 1, budget=3000)
+print(len(res.solutions), res.nodes, res.exhaustive, res.stopped_by)
+"""
+    src = os.path.dirname(os.path.dirname(polarcl.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["26", "3001", "False", "budget"]
+
+
+@pytest.mark.parametrize("m, eigenspaces, offending", [
+    (1, {0, 7}, "[7]"), (1, {-1}, "[-1]"), (-1, None, "m = -1")])
+def test_regular_systems_reject_bad_input(m, eigenspaces, offending):
+    with pytest.raises(ValueError, match=offending.replace("[", r"\[")):
+        find_regular_systems(_space("W(3,2)"), m, eigenspaces=eigenspaces)
+
+
+def _tight_labels(gq, x_max):
+    res = find_tight_sets(gq, x_max)
+    assert res.exhaustive
+    return {i: Counter(s["label"] for s in sols)
+            for i, sols in res.meta["by_parameter"].items()}
+
+
+@pytest.mark.parametrize("first, second, x_max, expected", [
+    pytest.param(lambda: GQ.from_polar(_space("H(3,4)")),
+                 lambda: GQ.from_polar(_space("Q-(5,2)")).dual(), 3,
+                 {1: {"line-union": 27}, 2: {"line-union": 216},
+                  3: {"line-union": 720, "subquadrangle": 36}},
+                 id="GQ(4,2)"),
+    pytest.param(lambda: GQ.from_polar(_space("W(3,2)")),
+                 lambda: GQ.from_polar(_space("Q(4,2)")).dual(), 2,
+                 {1: {"line-union": 15},
+                  2: {"line-union": 60, "subquadrangle": 10}},
+                 id="GQ(2,2)"),
+])
+def test_tight_sets_agree_across_models(first, second, x_max, expected):
+    # two constructions of one quadrangle (Payne & Thas 3.2.1, 3.2.3)
+    # classify alike, by parameter and label
+    assert _tight_labels(first(), x_max) == expected
+    assert _tight_labels(second(), x_max) == expected
+
+
 class _WrongParameter(GenSet):
     x = 2
 
@@ -359,3 +579,9 @@ for call in (lambda: s.find_regular_systems(get_space_by_name("W(3,2)"), 1),
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_one_verification_error_class():
+    from polarcl import clsets, geometry
+    assert search.VerificationError is clsets.VerificationError \
+        is geometry.VerificationError

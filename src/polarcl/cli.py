@@ -172,6 +172,8 @@ def cmd_check(args) -> int:
 def cmd_search(args) -> int:
     import time as _time
     t0 = _time.time()
+    if args.limit is not None and args.target not in ("spread", "regular"):
+        raise ValueError(f"--limit is not supported by search {args.target}")
     space = load_space(args.space)
     budget = args.budget
     if args.target == "spread":
@@ -290,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["latin", "greek"])
     p.add_argument("--dual", action="store_true",
                    help="search the dual generalised quadrangle")
-    p.add_argument("--limit", type=int, help="stop after this many solutions")
+    p.add_argument("--limit", type=int,
+                   help="stop after this many solutions (spread, regular)")
     p.add_argument("--budget", type=int, help="node budget override")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_search)

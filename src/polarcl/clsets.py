@@ -249,18 +249,17 @@ def test_image(gs: GenSet):
     """
     ctx = gs.ctx
     if gs.class_label is not None:
-        rs = ctx.restricted(gs.class_label)
-        return rs.image_membership(gs.chi(rs.members)), "A'"
-    if ctx.type == "I":
-        return ctx.scheme.image_membership(gs.chi(), "A"), "A"
-    if ctx.type == "III":
-        return ctx.scheme.image_membership(gs.chi(), "B"), "B"
+        kernel = ctx.restricted(gs.class_label).image_basis()
+        return kernel.witness(gs.mask) is None, "A'"
+    if ctx.type in ("I", "III"):
+        which = "A" if ctx.type == "I" else "B"
+        return ctx.scheme.image_basis(which).witness(gs.mask) is None, which
     if ctx.type == "II":
         parts = [GenSet(ctx, gs.mask & ctx.space.class_mask(label), label)
                  for label in ("latin", "greek")]
         ok = parts[0].x == parts[1].x and all(
-            ctx.restricted(p.class_label).image_membership(
-                p.chi(ctx.restricted(p.class_label).members)) for p in parts)
+            ctx.restricted(p.class_label).image_basis().witness(p.mask) is None
+            for p in parts)
         return ok, "A' (both classes, equal parameter)"
     return None, None  # type IV: open
 
@@ -515,10 +514,8 @@ def profile_verdict(gs: GenSet, pi: int):
     ctx = gs.ctx
     member = bool((gs.mask >> pi) & 1)
     if gs.class_label is not None:
-        rs = ctx.restricted(gs.class_label)
-        pos = rs.pos[pi]
-        got = [(rs.A[i][pos] & _submask(gs.mask, rs.members)).bit_count()
-               for i in range(rs.half + 1)]
+        got = [(ctx.scheme.A[2 * i][pi] & gs.mask).bit_count()
+               for i in range(ctx.d // 2 + 1)]
         exp = expected_profile_class(ctx.d, ctx.q, gs.x, member)
         return got == exp, got, exp
     got = intersection_profile(gs, pi)
@@ -526,14 +523,6 @@ def profile_verdict(gs: GenSet, pi: int):
         return None, got, None
     exp = expected_profile_type_I(ctx.d, ctx.e, ctx.q, gs.x, member)
     return got == exp, got, exp
-
-
-def _submask(mask: int, positions) -> int:
-    out = 0
-    for t, g in enumerate(positions):
-        if (mask >> g) & 1:
-            out |= 1 << t
-    return out
 
 
 def z_profile(gs: GenSet, pi: int, point_idx: int):

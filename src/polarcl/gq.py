@@ -14,10 +14,11 @@ otherwise (P^perp includes P).  An i-tight set has exactly i(s+1) points.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .enumeration import PolarSpace
-from .linalg import frac_nullspace
-from .scheme import _bits
+from .linalg import IntEchelon
+from .scheme import CertifiedKernel, _bits
 
 
 class GQError(ValueError):
@@ -52,17 +53,15 @@ class GQ:
                 m |= self.line_masks[li]
             self.perp[p] = m
         self.validate()
-        # line disjointness and concurrence masks
-        self.line_disjoint = [0] * self.n_lines
-        self.line_meets = [0] * self.n_lines
-        for i in range(self.n_lines):
-            for j in range(self.n_lines):
-                if i == j:
-                    continue
-                if self.line_masks[i] & self.line_masks[j]:
-                    self.line_meets[i] |= 1 << j
-                else:
-                    self.line_disjoint[i] |= 1 << j
+        # line concurrence and disjointness masks, from the lines' points
+        every = (1 << self.n_lines) - 1
+        self.line_meets, self.line_disjoint = [], []
+        for i, l in enumerate(self.lines):
+            through = 0
+            for p in l:
+                through |= self.point_lines[p]
+            self.line_meets.append(through & ~(1 << i))
+            self.line_disjoint.append(every & ~through)
 
     def validate(self):
         """The three axioms, checked exhaustively."""
@@ -83,6 +82,11 @@ class GQ:
         expect_lns = (self.t + 1) * (self.s * self.t + 1)
         if self.n_points != expect_pts or self.n_lines != expect_lns:
             raise GQError("point/line totals do not match the order")
+
+    @cached_property
+    def kernel(self) -> CertifiedKernel:
+        """The certified kernel of the point-line incidence matrix."""
+        return CertifiedKernel(self.point_lines, self.n_lines)
 
     @property
     def order(self) -> tuple[int, int]:
@@ -180,9 +184,9 @@ def gq_cl_report(gq: GQ, line_mask: int) -> dict:
     (i) chi in im(A^t); (ii) chi orthogonal to ker(A); (iii) disjointness
     counts (x - chi_l) t; (iv) meeting counts x + chi_l (t - 1); (v) the
     disjointness-matrix eigenvector condition for the eigenvalue -t.
-    A is the point-line incidence matrix.
+    A is the point-line incidence matrix.  (i) runs fraction-free
+    elimination on each call; (ii) reads the GQ's certified kernel.
     """
-    from .linalg import IntEchelon
     x = Fraction(line_mask.bit_count(), gq.t + 1)
     chi = [(line_mask >> li) & 1 for li in range(gq.n_lines)]
     # (i) image membership
@@ -191,35 +195,17 @@ def gq_cl_report(gq: GQ, line_mask: int) -> dict:
         ech.add([(gq.point_lines[p] >> li) & 1 for li in range(gq.n_lines)])
     v_i = ech.contains(chi)
     # (ii) orthogonality to the kernel of A
-    rows = [[(gq.point_lines[p] >> li) & 1 for li in range(gq.n_lines)]
-            for p in range(gq.n_points)]
-    kernel = frac_nullspace(rows, gq.n_lines)
-    v_ii = all(sum(c * k for c, k in zip(chi, kvec)) == 0 for kvec in kernel)
-    # (iii) disjointness counts
-    v_iii = True
-    for li in range(gq.n_lines):
-        got = (gq.line_disjoint[li] & line_mask).bit_count()
-        if got != (x - chi[li]) * gq.t:
-            v_iii = False
-            break
-    # (iv) meeting counts
-    v_iv = True
-    for li in range(gq.n_lines):
-        got = (gq.line_meets[li] & line_mask).bit_count()
-        if got != x + chi[li] * (gq.t - 1):
-            v_iv = False
-            break
-    # (v) eigenvector of the disjointness matrix for -t
-    n = gq.n_lines
-    w = [n * c - line_mask.bit_count() for c in chi]  # n*(chi - x/(st+1) j) scaled
-    # n = (t+1)(st+1); the scaling constant is irrelevant to the eigencheck
-    kw = []
-    for li in range(n):
-        acc = 0
-        for j in _bits(gq.line_disjoint[li]):
-            acc += w[j]
-        kw.append(acc)
-    v_v = kw == [-gq.t * v for v in w]
+    v_ii = gq.kernel.witness(line_mask) is None
+    # (iii) disjointness counts and (iv) meeting counts
+    v_iii = all((gq.line_disjoint[li] & line_mask).bit_count()
+                == (x - chi[li]) * gq.t for li in range(gq.n_lines))
+    v_iv = all((gq.line_meets[li] & line_mask).bit_count()
+               == x + chi[li] * (gq.t - 1) for li in range(gq.n_lines))
+    # (v) eigenvector of the disjointness matrix for -t, scaled by
+    # n = (t+1)(st+1): w = n (chi - x/(st+1) j)
+    w = [gq.n_lines * c - line_mask.bit_count() for c in chi]
+    v_v = all(sum(w[j] for j in _bits(gq.line_disjoint[li])) == -gq.t * w[li]
+              for li in range(gq.n_lines))
     consistent = v_i == v_ii == v_iii == v_iv == v_v
     return {"x": x, "im_At": v_i, "ker_perp": v_ii, "disjoint_counts": v_iii,
             "meet_counts": v_iv, "eigenvector": v_v, "consistent": consistent,

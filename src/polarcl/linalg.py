@@ -6,22 +6,29 @@ GF(q) elimination gives the reduced row-echelon form that makes subspace
 representations canonical.
 
 `IntEchelon` does fraction-free elimination over the integers (rows kept
-primitive by gcd division); it decides rank and image membership for the
-verification paths, where a "not in the span" verdict must be exact.
+primitive by gcd division): the independent route for image membership
+in the GQ statement (i), and the tests' reference.
 
 Packed rows.  A vector of n entries is one Python int whose field t, the
 bits [B t, B t + B), holds entry t; a row operation is then one small-int
-multiply and one add on a big int.  Two kernels use this layout.
+multiply and one add on a big int.  Three kernels use this layout.
 
-- `ModEchelon` keeps an echelon basis modulo the fixed prime `PRIME`.
-  Its verdicts are one-sided: vectors independent modulo p are
-  independent over Q (a nonzero minor mod p is a nonzero integer minor),
-  but vectors dependent modulo p may still be independent over Q.  A
-  basis it accepts is therefore certified; a shortfall is only reported.
-  Stored rows have fields in [0, p) and a row operation adds at most
-  (p - 1)^2 to a field, so after at most n operations a field is below
-  (p - 1) + n (p - 1)^2, and B >= bits(p - 1) + bits(n (p - 1)^2) + 1
-  keeps every field inside its own bits.
+- `ModEchelon` keeps an echelon basis modulo a prime p (`PRIME` unless
+  given).  Vectors independent modulo p are independent over Q (a nonzero
+  minor mod p is a nonzero integer minor), not conversely, so the rank
+  r_p never exceeds rank_Q.  Stored rows have fields in [0, p) and a row
+  operation adds at most (p - 1)^2 to a field; after at most n of them a
+  field is below (p - 1) + n (p - 1)^2, so B >= bits(p - 1) +
+  bits(n (p - 1)^2) + 1 keeps fields apart.  `rref` keeps the bound: a
+  row is reduced mod p before it clears its pivot from the rows above.
+- `kernel_columns` reads one kernel vector off each free column of that
+  RREF, lifts each entry u to the unique a/b = u (mod p) with |a|, b <=
+  sqrt(p / 2), if any (rational reconstruction, Wang 1981), and clears
+  denominators.  The caller certifies the result (`scheme`).  Column t
+  packs (z_1[t], ..., z_m[t]) as sum_i z_i[t] 2^{B i}, so the columns of a
+  0/1 set L sum to fields h_i = <z_i, chi_L>, |h_i| <= n max|z|.  With
+  B = bits(n max|z|) + 2 every |h_i| < 2^(B-1): the sum is zero exactly
+  when every h_i is, and its lowest set bit lies in the first nonzero h_i.
 - `first_non_eigenvector` checks M w = lam w for a symmetric 0/1 matrix M
   given by row masks as the single identity
   sum_s w_s (spread(M[s]) - lam 2^{B s}) = 0, where spread(M[s]) packs
@@ -34,8 +41,9 @@ multiply and one add on a big int.  Two kernels use this layout.
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
 from .gf import GF
 
@@ -109,19 +117,9 @@ def gf_nullspace(rows, ncols: int, gf: GF):
 # -- integer echelon (fraction-free) -----------------------------------------
 
 def _primitive(v: list[int]) -> list[int]:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-        if g == 1:
-            break
-    if g > 1:
-        v = [x // g for x in v]
-    for x in v:
-        if x:
-            if x < 0:
-                v = [-y for y in v]
-            break
-    return v
+    """v divided by its content, signed so that its first nonzero is > 0."""
+    g = gcd(*v) if next((x for x in v if x), 0) > 0 else -gcd(*v)
+    return [x // g for x in v] if g not in (0, 1) else v
 
 
 class IntEchelon:
@@ -156,15 +154,13 @@ class IntEchelon:
     def add(self, vec) -> bool:
         """Insert vec if independent of the current rows; report whether it was."""
         v = self.reduce(vec)
-        for p in range(self.ncols):
-            if v[p]:
-                self.rows.append(v)
-                self.pivots.append(p)
-                order = sorted(range(len(self.pivots)), key=self.pivots.__getitem__)
-                self.rows = [self.rows[i] for i in order]
-                self.pivots = [self.pivots[i] for i in order]
-                return True
-        return False
+        p = next((t for t, x in enumerate(v) if x), None)
+        if p is None:
+            return False
+        at = bisect(self.pivots, p)  # rows stay sorted by pivot
+        self.rows.insert(at, v)
+        self.pivots.insert(at, p)
+        return True
 
     def contains(self, vec) -> bool:
         return not any(self.reduce(vec))
@@ -188,7 +184,7 @@ def _unpack(packed: int, ncols: int, nbytes: int) -> list[int]:
 
 
 class ModEchelon:
-    """Incremental echelon basis modulo `PRIME` over packed rows.
+    """Incremental echelon basis modulo a prime p over packed rows.
 
     Rows are stored in insertion order, with fields reduced into [0, p),
     pivot entry 1, and zeros at the pivots of every earlier row; reducing
@@ -198,9 +194,9 @@ class ModEchelon:
     certifies over Q.
     """
 
-    def __init__(self, ncols: int):
+    def __init__(self, ncols: int, p: int | None = None):
         self.ncols = ncols
-        self.p = p = PRIME
+        self.p = p = PRIME if p is None else p
         bits = (p - 1).bit_length() + (ncols * (p - 1) ** 2).bit_length() + 1
         self.nbytes = -(-bits // 8)
         self.rows: list[int] = []
@@ -228,6 +224,62 @@ class ModEchelon:
         self.rows.append(_pack([x * inv % p for x in vals], nb))
         self.pivots.append(piv)
         return True
+
+    def rref(self) -> list[list[int]]:
+        """Back-substitute to the reduced form mod p; returns the entries
+        of the rows, which then have zeros at each other's pivots."""
+        p, nb = self.p, self.nbytes
+        width, fmask = 8 * nb, (1 << 8 * nb) - 1
+        rows, entries = self.rows, [None] * len(self.rows)
+        for j in range(len(rows) - 1, -1, -1):
+            entries[j] = [x % p for x in _unpack(rows[j], self.ncols, nb)]
+            rows[j] = row = _pack(entries[j], nb)
+            for i in range(j):
+                c = (rows[i] >> width * self.pivots[j] & fmask) % p
+                if c:
+                    rows[i] += (p - c) * row
+        return entries
+
+
+def rational_reconstruction(u: int, p: int):
+    """(a, b) with a = u b (mod p), |a| and 0 < b at most sqrt(p / 2) and
+    gcd(a, b) = 1, or None when u has no such fraction."""
+    bound = isqrt(p // 2)
+    r0, r1, t0, t1 = p, u % p, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def kernel_columns(ech: ModEchelon):
+    """(width, cols) with cols[t] = sum_i z_i[t] 2^{width i} for the lifted
+    kernel vectors z_i of the rows in `ech` (z_i is the lcm of its
+    denominators at the i-th free column, 0 at the others), or None when
+    an entry has no rational reconstruction."""
+    p, n = ech.p, ech.ncols
+    pivots = set(ech.pivots)
+    free = [t for t in range(n) if t not in pivots]
+    residues = [[-vals[f] % p for f in free] for vals in ech.rref()]
+    lifted = {u: rational_reconstruction(u, p) for u in set().union(*residues)}
+    if None in lifted.values():
+        return None
+    dens = [lcm(*(lifted[row[i]][1] for row in residues))
+            for i in range(len(free))]
+    entries = [[lifted[u][0] * (d // lifted[u][1]) for u, d in zip(row, dens)]
+               for row in residues]
+    peak = max((abs(x) for e in entries + [dens] for x in e), default=0)
+    nbytes = -(-eigencheck_width(n, peak) // 8)
+    width, half = 8 * nbytes, 1 << 8 * nbytes - 1
+    bias = _pack([half] * len(free), nbytes)
+    cols = [0] * n
+    for c, e in zip(ech.pivots, entries):
+        cols[c] = _pack([x + half for x in e], nbytes) - bias
+    for i, f in enumerate(free):
+        cols[f] = dens[i] << width * i
+    return width, cols
 
 
 def spread(mask: int, width: int) -> int:
@@ -268,47 +320,7 @@ def first_non_eigenvector(masks, lam: int, vectors):
     return None
 
 
-# -- rational elimination ----------------------------------------------------
-
-def frac_rref(rows):
-    """RREF over the rationals; returns (rows, pivots) with Fraction entries."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        m[r] = [x / piv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
-
-
-def frac_nullspace(rows, ncols: int):
-    """Basis of the rational kernel {x : M x = 0}, one vector per free column."""
-    rref, pivots = frac_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(rref, pivots):
-            v[pc] = -row[fc]
-        basis.append(v)
-    return basis
-
+# -- rational vectors ----------------------------------------------------------
 
 def scale_to_int(vec) -> list[int]:
     """Clear denominators of a rational vector (entries may be int or Fraction)."""

@@ -14,9 +14,10 @@ Eigenspace membership is decided by annihilator polynomials in A_1: the
 eigenvalues P_{j,1} are pairwise distinct, so each factor (A_1 - P_{j,1} I)
 kills V_j and acts invertibly elsewhere, and v lies in the orthogonal sum
 of the V_j over j in S exactly when the product over S annihilates v.
-Image membership for an incidence matrix M is rank-based: v in im(M^t)
-iff stacking v onto the rows of M does not raise the rank, computed by
-fraction-free integer elimination.  No floating point anywhere.
+Image membership for an incidence matrix M uses im(M^t) = ker_Q(M)^perp:
+a 0/1 vector chi_L lies in im(M^t) iff <z, chi_L> = 0 for every z in a
+basis of ker_Q(M).  `CertifiedKernel` builds that basis once per matrix
+and certifies it; see there.  No floating point anywhere.
 
 Eigenspace bases (`eigenspace_bases`) take three steps, each exact.
 
@@ -47,7 +48,8 @@ from __future__ import annotations
 from .counting import (EigenvalueTable, intersection_numbers, parameter_b,
                        parameter_c)
 from .enumeration import PolarSpace
-from .linalg import (IntEchelon, ModEchelon, first_non_eigenvector,
+from .geometry import VerificationError
+from .linalg import (PRIME, ModEchelon, first_non_eigenvector, kernel_columns,
                      scale_to_int)
 
 
@@ -55,37 +57,78 @@ class SchemeError(RuntimeError):
     pass
 
 
-_INTERNAL_REPS: dict = {}
-
-
-def _internal_reps(d: int, k: int, gf):
-    """All k x d reduced-echelon matrices over GF(q): one per k-subspace."""
-    key = (d, k, gf.q)
-    if key in _INTERNAL_REPS:
-        return _INTERNAL_REPS[key]
-    from itertools import combinations, product
-    reps = []
-    for pivots in combinations(range(d), k):
-        free_cols = [c for c in range(d)
-                     if c not in pivots]
-        # free entries sit right of their row's pivot, outside pivot columns
-        slots = [(r, c) for r in range(k) for c in free_cols if c > pivots[r]]
-        for vals in product(range(gf.q), repeat=len(slots)):
-            m = [[0] * d for _ in range(k)]
-            for r, p in enumerate(pivots):
-                m[r][p] = 1
-            for (r, c), v in zip(slots, vals):
-                m[r][c] = v
-            reps.append(tuple(tuple(r) for r in m))
-    _INTERNAL_REPS[key] = reps
-    return reps
-
-
 def _bits(m):
     while m:
         low = m & -m
         yield low.bit_length() - 1
         m ^= low
+
+
+KERNEL_PRIMES = (PRIME, 2 ** 61 - 1)  # the second is tried on failure
+
+
+class CertifiedKernel:
+    """A certified integer basis z_1..z_m of ker_Q(M), M the 0/1 matrix of
+    rows `masks` on `columns` (default 0..n-1); cols[g] packs
+    (z_1[g], ..., z_m[g]) as `linalg.kernel_columns` does, 0 off `columns`.
+
+    Certificate, trusting neither the prime nor the lift: each z_i is
+    nonzero at its own free column and 0 at the others (so independent),
+    M z_i = 0 holds exactly as one packed sum per row of M, and
+    m = n - r_p.  As r_p <= rank_Q(M), m <= n - rank_Q(M) <= n - r_p = m:
+    the z_i span ker_Q(M), and `rank` = r_p = rank_Q(M).  A failure
+    retries with the next of `KERNEL_PRIMES`, then raises VerificationError.
+    """
+
+    def __init__(self, masks, n: int, columns=None):
+        columns = range(n) if columns is None else columns
+        failures = []
+        for p in KERNEL_PRIMES:
+            ech = ModEchelon(len(columns), p)
+            for m in masks:
+                ech.add([(m >> g) & 1 for g in columns])
+            self.rank, self.dim = ech.rank, len(columns) - ech.rank
+            lifted = kernel_columns(ech)
+            if lifted is None:
+                failures.append(f"p = {p}: an entry has no rational lift")
+                continue
+            self.width, packed, self.cols = *lifted, [0] * n
+            for g, col in zip(columns, packed):
+                self.cols[g] = col
+            pivots = set(ech.pivots)
+            problem = self._problem(masks, [g for t, g in enumerate(columns)
+                                            if t not in pivots])
+            if problem is None:
+                return
+            failures.append(f"p = {p}: {problem}")
+        raise VerificationError("kernel certificate: " + "; ".join(failures))
+
+    def _problem(self, masks, free):
+        w, cols = self.width, self.cols
+        alone = sum(1 for i, g in enumerate(free) if cols[g] >> w * i << w * i
+                    == cols[g] and 0 < cols[g] >> w * i < 1 << w - 1)
+        if alone != self.dim:
+            return (f"{alone} vectors are nonzero at their free column alone, "
+                    f"expected n - r_p = {self.dim}")
+        for k, m in enumerate(masks):
+            if self.witness(m) is not None:
+                return f"entry {k} of M z_{self.witness(m)} is nonzero"
+        return None
+
+    def witness(self, mask: int):
+        """None if the 0/1 vector of the mask lies in im(M^t), else the
+        first i with <z_i, chi> != 0: one big-int add per member."""
+        acc = sum([self.cols[g] for g in _bits(mask)])
+        return ((acc & -acc).bit_length() - 1) // self.width if acc else None
+
+    def contains(self, vec, positions=None) -> bool:
+        """`witness` for a multiple of a 0/1 vector, entry t at column
+        positions[t]; other vectors raise SchemeError."""
+        vec = scale_to_int(vec)
+        if len(set(vec) - {0}) > 1:
+            raise SchemeError("image test of a vector that is not 0/1 scaled")
+        return self.witness(sum(1 << g for g, x in zip(
+            positions or range(len(vec)), vec) if x)) is None
 
 
 class SchemeContext:
@@ -129,42 +172,20 @@ class SchemeContext:
         return A
 
     def incidence(self, k: int):
-        """C_k rows: for every (k-1)-space, the bitmask of generators on it."""
+        """C_k rows: for every (k-1)-space, the bitmask of generators on it.
+        A generator holds the space iff it holds each of its basis points,
+        so a row is the AND of the point rows of A at its echelon rows."""
         if k not in self._C:
             sp = self.space
-            index = {s: i for i, s in enumerate(sp.levels[k])}
-            rows = [0] * len(index)
-            for g, grows in enumerate(sp.generators):
-                if k == self.d:
-                    rows[index[grows]] |= 1 << g
-                    continue
-                for s in self._subspaces_inside(g, k):
-                    rows[index[s]] |= 1 << g
+            A = sp.point_gen_masks()
+            rows = []
+            for s in sp.levels[k]:
+                m = (1 << self.n) - 1
+                for r in s:
+                    m &= A[sp.point_index[r]]
+                rows.append(m)
             self._C[k] = rows
         return self._C[k]
-
-    def _subspaces_inside(self, g: int, k: int):
-        """All canonical k-dim subspaces of generator g.
-
-        Every k-subspace is the row space of (coeffs @ generator rows) for
-        exactly one internal k x d echelon representative, enumerated once
-        per (d, k, q) and shared across generators.
-        """
-        from .geometry import gf_rref
-        sp = self.space
-        gf = sp.gf
-        grows = sp.generators[g]
-        out = []
-        for coef in _internal_reps(self.d, k, gf):
-            rows = []
-            for crow in coef:
-                v = [0] * len(grows[0])
-                for c, grow in zip(crow, grows):
-                    if c:
-                        v = [gf.add(a, gf.mul(c, b)) for a, b in zip(v, grow)]
-                rows.append(tuple(v))
-            out.append(gf_rref(rows, gf)[0])
-        return out
 
     def build_B(self):
         """Incidence of hyperbolic classes with generators (type III)."""
@@ -288,30 +309,21 @@ class SchemeContext:
 
     # -- image membership ------------------------------------------------------
 
-    def _echelon_from_masks(self, masks) -> IntEchelon:
-        ech = IntEchelon(self.n)
-        for m in masks:
-            ech.add([(m >> j) & 1 for j in range(self.n)])
-        return ech
-
-    def image_basis(self, which: str) -> IntEchelon:
-        """Echelon basis of im(M^t) for M = A (points) or B (hyperbolic classes)."""
+    def image_basis(self, which: str) -> CertifiedKernel:
+        """Certified kernel of M = A (points) or B (hyperbolic classes);
+        its `witness` decides membership in im(M^t)."""
+        if which not in ("A", "B"):
+            raise SchemeError(f"unknown incidence matrix {which!r}")
         if which not in self._image_bases:
-            if which == "A":
-                masks = self.space.point_gen_masks()
-            elif which == "B":
-                masks = self.build_B()
-            else:
-                raise SchemeError(f"unknown incidence matrix {which!r}")
-            self._image_bases[which] = self._echelon_from_masks(masks)
+            masks = self.space.point_gen_masks() if which == "A" else self.build_B()
+            self._image_bases[which] = CertifiedKernel(masks, self.n)
         return self._image_bases[which]
 
     def image_membership(self, v, which: str) -> bool:
-        return self.image_basis(which).contains(scale_to_int(v))
+        return self.image_basis(which).contains(v)
 
     def rank_of_incidence(self, k: int) -> int:
-        ech = self._echelon_from_masks(self.incidence(k))
-        return ech.rank
+        return CertifiedKernel(self.incidence(k), self.n).rank
 
     # -- eigenspace bases (via the incidence matrices) ---------------------------
 
@@ -417,7 +429,6 @@ class RestrictedScheme:
         self.ctx = ctx
         self.label = label
         self.members = sp.class_members(label)
-        self.pos = {g: t for t, g in enumerate(self.members)}
         self.m = len(self.members)
         self.half = sp.d // 2
         self.A = []
@@ -490,16 +501,15 @@ class RestrictedScheme:
              - vals[j0] * ((mask >> g) & 1) for g in self.members]
         return not any(self.annihilate(v, rest))
 
-    def image_basis(self) -> IntEchelon:
-        """Echelon basis of im(A'^t), A' = points x class-generators."""
+    def image_basis(self) -> CertifiedKernel:
+        """Certified kernel of A' = points x class generators, indexed by
+        the full generator index."""
         if self._image_basis_cache is None:
-            sp = self.ctx.space
-            ech = IntEchelon(self.m)
-            for pmask in sp.point_gen_masks():
-                row = [(pmask >> g) & 1 for g in self.members]
-                ech.add(row)
-            self._image_basis_cache = ech
+            cm = self.ctx.space.class_mask(self.label)
+            self._image_basis_cache = CertifiedKernel(
+                [pm & cm for pm in self.ctx.space.point_gen_masks()],
+                self.ctx.n, self.members)
         return self._image_basis_cache
 
     def image_membership(self, v) -> bool:
-        return self.image_basis().contains(scale_to_int(v))
+        return self.image_basis().contains(v, self.members)

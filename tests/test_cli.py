@@ -263,3 +263,21 @@ def test_search_manifest_says_why_it_stopped(tmp_path):
         data = json.loads(out.read_text())
         assert data["manifest"]["completeness"] == completeness, extra
         assert data["exhaustive"] == (completeness == "exhaustive")
+
+
+def test_limit_on_a_search_that_ignores_it_exits_2(tmp_path, capsys):
+    # tight and cl searches take no solution limit: refuse --limit instead
+    # of answering with every solution as if it had been honoured
+    space_file = tmp_path / "w32.json"
+    run(["space", "enumerate", "--space-name", "W(3,2)", "--out",
+         str(space_file)])
+    for target, extra in (("tight", ["--xmax", "2"]), ("cl", ["--xmax", "1"])):
+        capsys.readouterr()
+        out = tmp_path / f"{target}.json"
+        assert run(["search", target, "--space", str(space_file), *extra,
+                    "--limit", "2", "--out", str(out)]) == 2, target
+        captured = capsys.readouterr()
+        assert captured.err.startswith("polarcl: error:"), captured.err
+        assert f"--limit is not supported by search {target}" in captured.err
+        assert "Traceback" not in captured.err and not captured.out
+        assert not out.exists()

@@ -1,10 +1,13 @@
-"""Packed-row kernels: the modular echelon and the packed eigencheck."""
+"""Packed-row kernels: the modular echelon and its RREF, the kernel lift,
+and the packed eigencheck."""
 
 import random
+from math import gcd
 
 import polarcl.linalg as linalg
 from polarcl.linalg import (PRIME, IntEchelon, ModEchelon, eigencheck_width,
-                            first_non_eigenvector, spread)
+                            first_non_eigenvector, kernel_columns,
+                            rational_reconstruction, spread)
 
 
 def test_mod_echelon_agrees_with_rational_echelon():
@@ -79,3 +82,63 @@ def test_eigencheck_fooled_below_its_width(monkeypatch):
         assert first_non_eigenvector(masks, lam, [w]) is None
         monkeypatch.undo()
 
+
+
+def test_rref_mod_p_is_reduced_with_the_same_row_space():
+    rng = random.Random(5)
+    n = 12
+    rows = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(8)]
+    rows += [[a - 3 * b for a, b in zip(rows[0], rows[1])], [0] * n]
+    ech = ModEchelon(n)
+    for row in rows:
+        ech.add(row)
+    entries = ech.rref()
+    assert len(entries) == ech.rank == 8
+    assert ech.rows == [linalg._pack(e, ech.nbytes) for e in entries]
+    for row, piv in zip(entries, ech.pivots):
+        assert all(0 <= x < PRIME for x in row)
+        assert [row[c] for c in ech.pivots] == [int(c == piv) for c in ech.pivots]
+    again = ModEchelon(n)
+    assert all(again.add(row) for row in entries)
+    assert not any(again.add(row) for row in rows)
+
+
+def test_rref_worst_field_growth():
+    # row i is e_i + (p - 1)(e_{i+1} + ... + e_{n-1}): back-substitution
+    # adds up to (p - 1)^2 to a field of row i once per later row, the
+    # largest growth the field width allows for; the RREF is the identity
+    n, p = 150, PRIME
+    ech = ModEchelon(n)
+    for i in range(n):
+        assert ech.add([int(t == i) + (p - 1) * (t > i) for t in range(n)])
+    assert ech.rref() == [[int(t == i) for t in range(n)] for i in range(n)]
+
+
+def test_rational_reconstruction_finds_exactly_the_small_fractions():
+    p, bound = 101, 7  # isqrt(101 // 2); 2 * 7 * 7 < 101 makes them unique
+    small = {a * pow(b, -1, p) % p: (a, b) for b in range(1, bound + 1)
+             for a in range(-bound, bound + 1) if gcd(a, b) == 1}
+    assert len(small) == sum(1 for b in range(1, bound + 1)
+                             for a in range(-bound, bound + 1) if gcd(a, b) == 1)
+    for u in range(p):
+        assert rational_reconstruction(u, p) == small.get(u)
+
+
+def _fields(col, count, width):
+    """The balanced fields of a packed kernel column."""
+    half = 1 << width - 1
+    raw = col + sum(half << width * i for i in range(count))
+    return [(raw >> width * i & (2 * half - 1)) - half for i in range(count)]
+
+
+def test_kernel_columns_clear_denominators():
+    # [2 1 0]: z_0 = (-1/2, 1, 0) scaled to (-1, 2, 0), z_1 = (0, 0, 1)
+    ech = ModEchelon(3)
+    ech.add([2, 1, 0])
+    width, cols = kernel_columns(ech)
+    assert width == 8  # bits(3 * 2) + 2 = 5, rounded up to a byte
+    assert [_fields(c, 2, width) for c in cols] == [[-1, 0], [2, 0], [0, 1]]
+    # modulo 5, -1/3 = 3 has no fraction with |a|, b <= isqrt(2) = 1
+    ech = ModEchelon(3, 5)
+    ech.add([3, 1, 0])
+    assert kernel_columns(ech) is None

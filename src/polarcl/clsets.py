@@ -373,25 +373,18 @@ def construct_embedded(ctx: CLContext, hyperplane=None) -> GenSet:
     hyperbolic in Q(2d,q), nondegenerate in H(2d,q).  The predicted
     parameter is q^{e-1} + 1.
     """
-    from .geometry import all_hyperplanes, classify_hyperplane_section
+    from .geometry import all_hyperplanes, section_type
     sp = ctx.space
     desc = sp.desc
     wanted = {"Q-": "parabolic", "Q": "hyperbolic", "H": "hermitian"}.get(desc.family)
     if wanted is None or ctx.e < 1 or (desc.family == "H" and desc.dim % 2 == 1):
         raise GeometryError(f"no embedded construction on {desc.name()}")
-    if hyperplane is None:
-        hyperplane = next(
-            a for a in all_hyperplanes(sp.gf, desc.dim)
-            if classify_hyperplane_section(sp.form, a, sp.points) == wanted)
-    else:
-        got = classify_hyperplane_section(sp.form, hyperplane, sp.points)
-        if got != wanted:
-            raise GeometryError(f"hyperplane section is {got}, need {wanted}")
-    mask = 0
-    for g, rows in enumerate(sp.generators):
-        if all(sp._dot(hyperplane, r) == 0 for r in rows):
-            mask |= 1 << g
-    return GenSet(ctx, mask)
+    for a in all_hyperplanes(sp.gf, desc.dim) if hyperplane is None else [hyperplane]:
+        section = sp.section_mask(a)
+        got = section_type(desc, section.bit_count())
+        if got == wanted:
+            return GenSet(ctx, sp.generators_in(section))
+    raise GeometryError(f"hyperplane section is {got}, need {wanted}")
 
 
 def construct_base_plane(ctx: CLContext, gen_idx: int) -> GenSet:

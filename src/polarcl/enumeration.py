@@ -1,17 +1,21 @@
 """Canonical enumeration of the totally isotropic subspaces of a polar space.
 
-Level k (vector dimension k, projective dimension k-1) is produced by
-extending every totally isotropic (k-1)-space by the isotropic points of
-its perp and deduplicating through the canonical reduced-echelon form.
-The levels are sorted lexicographically on the echelon matrices, which
-fixes the index set Omega of the generators once and for all; every file
-format and every matrix in the scheme layer refers to that order.
+Every subspace is keyed by the bitmask of its isotropic points.  Level k
+(vector dimension k, projective dimension k-1) extends each totally
+isotropic (k-1)-space by the isotropic points of its perp, building the
+extension's mask from line masks cached for one enumeration and clearing
+its points from the candidates left (`PolarSpace._enumerate_levels`).
+Each distinct subspace gets its reduced-echelon rows once; the levels
+are sorted lexicographically on them, which fixes the index set Omega of
+the generators once and for all: every file format and every matrix in
+the scheme layer refers to that order.
 
 For hyperbolic quadrics the generators split into the two classes of the
 relation dim(pi ^ pi') = dim pi (mod 2); generator 0 anchors the class
 labelled "latin".  For the parabolic quadrics of odd rank the module also
 enumerates the hyperbolic classes: the generator classes of the hyperbolic
-hyperplane sections.  Symplectic spaces of odd rank over even fields get
+hyperplane sections, each generator tested by inclusion of its point
+mask in the section's.  Symplectic spaces of odd rank over even fields get
 theirs through the nucleus projection from the parabolic model.
 """
 
@@ -21,9 +25,9 @@ from .counting import num_generators, num_kspaces
 from .gf import field
 from .geometry import (Form, GeometryError, PolarSpaceDescriptor,
                        VerificationError, all_hyperplanes,
-                       all_projective_points, classify_hyperplane_section,
-                       descriptor, gf_rref, perp)
-from .linalg import gf_reduce
+                       all_projective_points, descriptor, gf_rref,
+                       section_type)
+from .linalg import _bits
 
 DEFAULT_GENERATOR_BUDGET = 10 ** 6
 
@@ -58,13 +62,21 @@ class PolarSpace:
         self.points = [p for p in all_projective_points(self.gf, desc.dim)
                        if self.form.is_isotropic_point(p)]
         self.point_index = {p: i for i, p in enumerate(self.points)}
-        self._perp_masks = self._build_perp_masks()
-        self.levels = self._enumerate_levels()
+        # bit i of _coordinate_masks[c][x]: coordinate c of point i is x
+        self._coordinate_masks = [
+            [sum(1 << i for i, p in enumerate(self.points) if p[c] == x)
+             for x in range(desc.q)] for c in range(desc.nvars)]
+        # bit j of perp mask i: points i and j pair to zero
+        self._perp_masks = [self.section_mask(self.form.functional(p))
+                            for p in self.points]
+        self.levels, self.gen_point_masks = self._enumerate_levels()
         self.generators = self.levels[self.d]
         self.gen_index = {g: i for i, g in enumerate(self.generators)}
         self.n_generators = len(self.generators)
-        assert self.n_generators == expected
-        self.gen_point_masks = [self._point_mask(g) for g in self.generators]
+        if self.n_generators != expected:
+            raise VerificationError(
+                f"{desc.name()}: enumerated {self.n_generators} generators, "
+                f"closed form {expected}")
         self._point_gen_masks = None
         self._vdim_table = _vdim_from_point_count(desc.q)
         self.class_labels = self._split_classes() if desc.family == "Q+" else None
@@ -72,84 +84,97 @@ class PolarSpace:
 
     # -- construction helpers ------------------------------------------------
 
-    def _build_perp_masks(self):
-        """perp_masks[i] has bit j set iff points i and j pair to zero."""
-        n = len(self.points)
-        pair = self.form.pair
-        masks = [0] * n
-        for i in range(n):
-            pi = self.points[i]
-            mi = masks[i]
-            for j in range(i, n):
-                if pair(pi, self.points[j]) == 0:
-                    mi |= 1 << j
-                    masks[j] |= 1 << i
-            masks[i] = mi
-        return masks
-
     def _enumerate_levels(self):
-        """levels[k] = sorted canonical TI subspaces of vector dimension k.
+        """levels[k] = sorted canonical TI subspaces of vector dimension k,
+        with the point masks of the generators in the order of levels[d].
 
-        The frontier maps each subspace to its extension candidates: the
-        isotropic points pairing to zero with all of its points.  That
-        set only depends on the subspace, so intersecting perp masks
-        along any extension chain yields the same candidates and the
-        global seen-set (the `nxt` dict) deduplicates reconvergent
-        chains.
+        A subspace S is keyed by its point mask; the frontier maps it to a
+        spanning tuple of points and to its candidates, the AND of the perp
+        masks of its points.  For a candidate p outside S, S + p is S, p
+        and the lines from p to each point of S; a line's mask takes q - 1
+        normalised vectors and is cached for this call only.  Every point
+        of S + p spans S + p with S, so its points leave S's candidates:
+        each pair (S, S + p) is built once, and nothing is reduced against
+        S.  gf_rref runs once per distinct subspace, for the sort keys.
         """
-        gf = self.gf
-        levels = {1: [(p,) for p in self.points]}
-        frontier = {(self.points[i],): self._perp_masks[i]
-                    for i in range(len(self.points))}
+        gf, points, index, perp = self.gf, self.points, self.point_index, self._perp_masks
+        n = len(points)
+        lines = {}
+
+        def line(i, j):
+            """Mask of the line through points i < j, cached under the key
+            a * n + b of every pair a < b of its points."""
+            u, v = points[i], points[j]
+            on = [i, j]
+            for c in range(1, gf.q):
+                w = [gf.add(x, gf.mul(c, y)) for x, y in zip(u, v)]
+                inv = gf.inv(next(x for x in w if x))
+                if inv != 1:
+                    w = [gf.mul(inv, x) for x in w]
+                on.append(index[tuple(w)])
+            mask = sum(1 << a for a in on)
+            for a in on:
+                for b in on:
+                    if a < b:
+                        lines[a * n + b] = mask
+            return mask
+
+        levels = {1: [(p,) for p in points]}
+        top = [1 << i for i in range(len(points))]
+        frontier = {1 << i: ((p,), perp[i]) for i, p in enumerate(points)}
         for k in range(2, self.d + 1):
             nxt = {}
-            for rows, cand in frontier.items():
-                pivots = tuple(next(c for c, x in enumerate(r) if x) for r in rows)
-                m = cand
-                while m:
-                    low = m & -m
+            for mask, (rows, cand) in frontier.items():
+                inside = list(_bits(mask))
+                free = cand & ~mask
+                while free:
+                    low = free & -free
                     j = low.bit_length() - 1
-                    m ^= low
-                    p = self.points[j]
-                    if not any(gf_reduce(p, rows, pivots, gf)):
-                        continue
-                    new_rows = gf_rref(list(rows) + [p], gf)[0]
-                    if new_rows not in nxt:
-                        nxt[new_rows] = cand & self._perp_masks[j]
-            levels[k] = sorted(nxt.keys())
+                    span = mask | low
+                    for i in inside:
+                        a, b = (i, j) if i < j else (j, i)
+                        span |= lines.get(a * n + b) or line(a, b)
+                    free &= ~span
+                    if span not in nxt:
+                        nxt[span] = (rows + (points[j],), cand & perp[j])
             frontier = nxt
+            keyed = sorted((gf_rref(rows, gf)[0], span)
+                           for span, (rows, _) in frontier.items())
+            levels[k] = [rows for rows, _ in keyed]
+            top = [span for _, span in keyed]
         for k in range(1, self.d + 1):
             expect = num_kspaces(self.desc.rank, self.desc.e, self.desc.q, k - 1)
             if len(levels[k]) != expect:
                 raise GeometryError(
                     f"level {k} of {self.desc.name()}: enumerated {len(levels[k])}, "
                     f"closed form {expect}")
-        return levels
+        return levels, top
 
-    def _point_mask(self, rows) -> int:
-        """Bitset over point indices of the points lying in the subspace."""
+    def section_mask(self, a) -> int:
+        """Point mask of the hyperplane section a.x = 0.
+
+        sums[t] holds the points whose dot product with a, over the
+        coordinates read so far, is t; a coordinate costs q^2 ANDs of
+        point masks and no point is visited."""
         gf = self.gf
-        span = set()
-        vecs = [tuple([0] * len(rows[0]))]
-        for r in rows:
-            vecs = [tuple(gf.add(x, gf.mul(c, y)) for x, y in zip(v, r))
-                    for v in vecs for c in range(gf.q)]
-        mask = 0
-        for v in vecs:
-            if any(v):
-                lead = next(x for x in v if x)
-                if lead != 1:
-                    inv = gf.inv(lead)
-                    v = tuple(gf.mul(inv, x) for x in v)
-                idx = self.point_index.get(v)
-                if idx is not None and v not in span:
-                    span.add(v)
-                    mask |= 1 << idx
-        return mask
+        sums = {0: (1 << len(self.points)) - 1}
+        for ai, column in zip(a, self._coordinate_masks):
+            if ai:
+                nxt = {}
+                for t, m in sums.items():
+                    for x, cm in enumerate(column):
+                        hit = m & cm
+                        if hit:
+                            s = gf.add(t, gf.mul(ai, x))
+                            nxt[s] = nxt.get(s, 0) | hit
+                sums = nxt
+        return sums.get(0, 0)
 
-    def subspace_point_mask(self, rows) -> int:
-        """Point bitset of an arbitrary subspace (not only generators)."""
-        return self._point_mask(rows)
+    def generators_in(self, point_mask: int) -> int:
+        """Bitmask over Omega of the generators all of whose points lie in
+        the given point mask."""
+        return sum(1 << g for g, pm in enumerate(self.gen_point_masks)
+                   if not pm & ~point_mask)
 
     def point_gen_masks(self):
         """Rows of the point-generator incidence A: one bitmask over Omega
@@ -157,11 +182,8 @@ class PolarSpace:
         if self._point_gen_masks is None:
             rows = [0] * len(self.points)
             for g, pm in enumerate(self.gen_point_masks):
-                m = pm
-                while m:
-                    low = m & -m
-                    rows[low.bit_length() - 1] |= 1 << g
-                    m ^= low
+                for p in _bits(pm):
+                    rows[p] |= 1 << g
             self._point_gen_masks = rows
         return self._point_gen_masks
 
@@ -193,8 +215,12 @@ class PolarSpace:
             for b in sample:
                 for c in sample:
                     if (self.distance(a, b) % 2 == 0
-                            and self.distance(b, c) % 2 == 0):
-                        assert self.distance(a, c) % 2 == 0
+                            and self.distance(b, c) % 2 == 0
+                            and self.distance(a, c) % 2 != 0):
+                        raise VerificationError(
+                            f"class relation of {self.desc.name()} is not transitive: "
+                            f"generators {a}, {c} at distance {self.distance(a, c)}, "
+                            f"expected even through {b}")
         return labels
 
     def class_members(self, label: str):
@@ -226,46 +252,33 @@ class PolarSpace:
         elif desc.family == "W" and desc.rank % 2 == 1 and self.gf.p == 2:
             model = parabolic_model(self)
             mapping = symplectic_from_parabolic_map(model, self)
-            classes = []
-            for cm in model.hyperbolic_classes():
-                m = 0
-                mm = cm
-                while mm:
-                    low = mm & -mm
-                    mm ^= low
-                    m |= 1 << mapping[low.bit_length() - 1]
-                classes.append(m)
-            self._hyperbolic_classes = sorted(classes)
+            self._hyperbolic_classes = sorted(
+                sum(1 << mapping[g] for g in _bits(cm))
+                for cm in model.hyperbolic_classes())
         else:
             raise GeometryError(
                 f"{desc.name()} is not a type III space; no hyperbolic classes")
         return self._hyperbolic_classes
 
     def _hyperbolic_classes_parabolic(self):
-        gf = self.gf
         classes = []
-        for a in all_hyperplanes(gf, self.desc.dim):
-            label = classify_hyperplane_section(self.form, a, self.points)
-            if label != "hyperbolic":
+        for a in all_hyperplanes(self.gf, self.desc.dim):
+            section = self.section_mask(a)
+            if section_type(self.desc, section.bit_count()) != "hyperbolic":
                 continue
-            inside = [g for g, rows in enumerate(self.generators)
-                      if all(self._dot(a, r) == 0 for r in rows)]
-            anchor = inside[0]
-            one = [g for g in inside
-                   if (self.d - 1 - self.intersection_vdim(anchor, g)) % 2 == 0]
-            two = [g for g in inside if g not in set(one)]
-            assert len(one) == len(two) == len(inside) // 2
-            classes.append(sum(1 << g for g in one))
-            classes.append(sum(1 << g for g in two))
+            inside = self.generators_in(section)
+            anchor = (inside & -inside).bit_length() - 1
+            one = sum(1 << g for g in _bits(inside)
+                      if (self.d - 1 - self.intersection_vdim(anchor, g)) % 2 == 0)
+            two = inside & ~one
+            if one.bit_count() != two.bit_count():
+                raise VerificationError(
+                    f"hyperbolic section {a} of {self.desc.name()} splits its "
+                    f"{inside.bit_count()} generators into classes of "
+                    f"{one.bit_count()} and {two.bit_count()}, expected "
+                    f"{inside.bit_count() // 2} each")
+            classes += [one, two]
         return sorted(classes)
-
-    def _dot(self, a, v) -> int:
-        gf = self.gf
-        acc = 0
-        for x, y in zip(a, v):
-            if x and y:
-                acc = gf.add(acc, gf.mul(x, y))
-        return acc
 
     # -- serialization -----------------------------------------------------------
 

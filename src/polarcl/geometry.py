@@ -213,6 +213,21 @@ class Form:
                         acc = gf.add(acc, gf.mul(row[j], gf.mul(ui, vj)))
         return acc
 
+    def functional(self, u):
+        """The coefficients a of the linear form v -> pairing(u, v) = 0,
+        conjugated for Hermitian pairings so that pairing(u, v) = 0 exactly
+        when a.v = 0."""
+        gf = self.gf
+        P = self.pairing_matrix
+        a = []
+        for j in range(len(u)):
+            acc = 0
+            for i, ui in enumerate(u):
+                if ui and P[i][j]:
+                    acc = gf.add(acc, gf.mul(ui, P[i][j]))
+            a.append(gf.conjugate(acc) if self.conjugate_second else acc)
+        return tuple(a)
+
     def is_isotropic_point(self, v) -> bool:
         if self.kind == "alternating":
             return True
@@ -240,24 +255,10 @@ def perp(rows, form: Form):
     characteristic two has a radical (its nucleus), where only the
     defining property holds.
     """
-    gf = form.gf
     n = form.desc.nvars
     if not rows:
         return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    P = form.pairing_matrix
-    sys_rows = []
-    for r in rows:
-        c = [0] * n
-        for j in range(n):
-            acc = 0
-            for i in range(n):
-                if r[i] and P[i][j]:
-                    acc = gf.add(acc, gf.mul(r[i], P[i][j]))
-            c[j] = acc
-        if form.conjugate_second:
-            c = [gf.conjugate(x) for x in c]
-        sys_rows.append(tuple(c))
-    return gf_nullspace(sys_rows, n, gf)
+    return gf_nullspace([form.functional(r) for r in rows], n, form.gf)
 
 
 def all_projective_points(gf: GF, dim: int):
@@ -332,11 +333,14 @@ def classify_hyperplane_section(form: Form, a, isotropic_points) -> str:
     One uniform method across all characteristics: the counts of the
     possible section types are pairwise distinct, so the count decides.
     """
-    desc = form.desc
     if not any(a):
         raise GeometryError("degenerate hyperplane functional")
+    return section_type(form.desc, section_point_count(form, a, isotropic_points))
+
+
+def section_type(desc: PolarSpaceDescriptor, got: int) -> str:
+    """The section type whose point count is `got`, or GeometryError."""
     counts = section_counts(desc)
-    got = section_point_count(form, a, isotropic_points)
     for label, expected in counts.items():
         if got == expected:
             return label

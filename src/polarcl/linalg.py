@@ -86,20 +86,6 @@ def gf_rref(rows, gf: GF):
     return tuple(tuple(row) for row in m[:r]), tuple(pivots)
 
 
-def gf_reduce(v, rows, pivots, gf: GF):
-    """Reduce the vector v against RREF rows; the residual is returned."""
-    v = list(v)
-    for row, c in zip(rows, pivots):
-        if v[c]:
-            f = v[c]
-            v = [gf.sub(x, gf.mul(f, y)) for x, y in zip(v, row)]
-    return v
-
-
-def gf_in_span(v, rows, pivots, gf: GF) -> bool:
-    return not any(gf_reduce(v, rows, pivots, gf))
-
-
 def gf_nullspace(rows, ncols: int, gf: GF):
     """Canonical basis (RREF) of {x : M x = 0} for the matrix with those rows."""
     rref, pivots = gf_rref(rows, gf)
@@ -280,6 +266,14 @@ def kernel_columns(ech: ModEchelon):
     for i, f in enumerate(free):
         cols[f] = dens[i] << width * i
     return width, cols
+
+
+def _bits(m):
+    """The indices of the set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
 
 def spread(mask: int, width: int) -> int:

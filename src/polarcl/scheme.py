@@ -49,19 +49,12 @@ from .counting import (EigenvalueTable, intersection_numbers, parameter_b,
                        parameter_c)
 from .enumeration import PolarSpace
 from .geometry import VerificationError
-from .linalg import (PRIME, ModEchelon, first_non_eigenvector, kernel_columns,
-                     scale_to_int)
+from .linalg import (PRIME, ModEchelon, _bits, first_non_eigenvector,
+                     kernel_columns, scale_to_int)
 
 
 class SchemeError(RuntimeError):
     pass
-
-
-def _bits(m):
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
 
 
 KERNEL_PRIMES = (PRIME, 2 ** 61 - 1)  # the second is tried on failure

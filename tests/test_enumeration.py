@@ -8,10 +8,95 @@ from polarcl.clsets import GenSet, check_cl, get_context
 from polarcl.enumeration import (BudgetError, PolarSpace, certify_isometry,
                                  get_space, get_space_by_name,
                                  symplectic_from_parabolic_map)
-from polarcl.geometry import GeometryError, VerificationError, descriptor
+from polarcl.geometry import (GeometryError, VerificationError, all_hyperplanes,
+                              descriptor, gf_rref, section_point_count)
+
+from gf_reference import gf_reduce
 
 ALL_SPACES = ["Q+(5,2)", "Q+(7,2)", "Q(4,2)", "Q(6,2)", "Q-(5,2)",
               "W(3,2)", "W(3,3)", "W(5,2)", "H(3,4)", "H(4,4)"]
+
+
+def reference_perp_masks(sp):
+    """Bit j of mask i is set iff points i and j pair to zero, one pairing
+    per pair of points."""
+    n = len(sp.points)
+    masks = [0] * n
+    for i in range(n):
+        for j in range(i, n):
+            if sp.form.pair(sp.points[i], sp.points[j]) == 0:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks
+
+
+def reference_levels(sp):
+    """levels[k] by RREF keys: each candidate point is reduced against the
+    subspace's echelon rows, and every extension goes through gf_rref."""
+    gf, perp = sp.gf, reference_perp_masks(sp)
+    levels = {1: [(p,) for p in sp.points]}
+    frontier = {(p,): perp[i] for i, p in enumerate(sp.points)}
+    for k in range(2, sp.d + 1):
+        nxt = {}
+        for rows, cand in frontier.items():
+            pivots = tuple(next(c for c, x in enumerate(r) if x) for r in rows)
+            m = cand
+            while m:
+                low = m & -m
+                j = low.bit_length() - 1
+                m ^= low
+                p = sp.points[j]
+                if not any(gf_reduce(p, rows, pivots, gf)):
+                    continue
+                new_rows = gf_rref(list(rows) + [p], gf)[0]
+                if new_rows not in nxt:
+                    nxt[new_rows] = cand & perp[j]
+        levels[k] = sorted(nxt)
+        frontier = nxt
+    return levels
+
+
+def span_point_mask(sp, rows) -> int:
+    """Point bitset of the subspace spanned by rows: every vector of the
+    span is walked and normalised."""
+    gf = sp.gf
+    vecs = [tuple([0] * len(rows[0]))]
+    for r in rows:
+        vecs = [tuple(gf.add(x, gf.mul(c, y)) for x, y in zip(v, r))
+                for v in vecs for c in range(gf.q)]
+    mask = 0
+    for v in vecs:
+        if any(v):
+            inv = gf.inv(next(x for x in v if x))
+            idx = sp.point_index.get(tuple(gf.mul(inv, x) for x in v))
+            if idx is not None:
+                mask |= 1 << idx
+    return mask
+
+
+@pytest.mark.parametrize("name", ALL_SPACES)
+def test_levels_and_masks_match_the_rref_enumeration(name):
+    sp = get_space_by_name(name)
+    ref = reference_levels(sp)
+    assert sorted(ref) == sorted(sp.levels)
+    for k in ref:
+        assert sp.levels[k] == ref[k], (name, k)
+    assert sp.gen_point_masks == [span_point_mask(sp, g) for g in ref[sp.d]]
+
+
+def test_perp_and_section_masks_match_pairings():
+    for name in ("Q(4,2)", "Q-(5,2)", "W(3,3)", "H(3,4)", "H(4,4)"):
+        sp = get_space_by_name(name)
+        assert sp._perp_masks == reference_perp_masks(sp), name
+        gf = sp.gf
+        for a in all_hyperplanes(gf, sp.desc.dim):
+            mask = sp.section_mask(a)
+            assert mask.bit_count() == section_point_count(sp.form, a, sp.points)
+            for i, p in enumerate(sp.points):
+                dot = 0
+                for x, y in zip(a, p):
+                    dot = gf.add(dot, gf.mul(x, y))
+                assert (mask >> i) & 1 == (dot == 0), (name, a, p)
 
 
 def test_level_counts_match_closed_forms():
@@ -59,7 +144,7 @@ def test_generators_through_sampled_subspaces():
             expect = num_kspaces_through_mspace(
                 sp.d, sp.desc.e, sp.desc.q, sp.d - 1, k - 1)
             for rows in sp.levels[k][:5]:
-                mu = sp.subspace_point_mask(rows)
+                mu = span_point_mask(sp, rows)
                 through = sum(
                     1 for pm in sp.gen_point_masks if pm & mu == mu)
                 assert through == expect, (name, k)
@@ -163,6 +248,41 @@ def test_hyperbolic_classes_guards():
 def test_generator_budget_guard():
     with pytest.raises(BudgetError):
         PolarSpace(descriptor("W", 12, 2), generator_budget=10 ** 6)
+
+
+def test_generator_count_mismatch_raises(monkeypatch):
+    import polarcl.enumeration as enumeration
+    monkeypatch.setattr(enumeration, "num_generators", lambda d, e, q: 16)
+    with pytest.raises(VerificationError,
+                       match="enumerated 15 generators, closed form 16"):
+        PolarSpace(descriptor("W", 2, 2))
+
+
+def test_intransitive_class_relation_raises(monkeypatch):
+    # odd distance between generators 0 and 1 only: both are at even
+    # distance from generator 2, so the relation is not transitive
+    monkeypatch.setattr(PolarSpace, "distance",
+                        lambda self, g, h: int({g, h} == {0, 1}))
+    with pytest.raises(VerificationError,
+                       match="generators 0, 1 at distance 1, expected even"):
+        PolarSpace(descriptor("Q+", 2, 2))
+
+
+def test_unbalanced_hyperbolic_section_raises(monkeypatch):
+    sp = PolarSpace(descriptor("Q", 3, 2))
+    # every generator meets the anchor in a line: all 30 generators of a
+    # hyperbolic section land in one class
+    monkeypatch.setattr(PolarSpace, "intersection_vdim", lambda self, g, h: 2)
+    with pytest.raises(VerificationError,
+                       match="classes of 30 and 0, expected 15 each"):
+        sp.hyperbolic_classes()
+
+
+def test_enumeration_checks_raise_under_optimize(run_under_optimize):
+    run_under_optimize(
+        [f"{__file__}::test_generator_count_mismatch_raises",
+         f"{__file__}::test_intransitive_class_relation_raises",
+         f"{__file__}::test_unbalanced_hyperbolic_section_raises"], 3)
 
 
 def test_get_space_caches():

@@ -72,10 +72,17 @@ def test_class_difference_vector_in_Vd():
     from polarcl.geometry import all_hyperplanes, classify_hyperplane_section
     sp = get_space_by_name("Q(6,2)")
     sch = ctx_of("Q(6,2)")
-    a = next(h for h in all_hyperplanes(sp.gf, 6)
+    gf = sp.gf
+    a = next(h for h in all_hyperplanes(gf, 6)
              if classify_hyperplane_section(sp.form, h, sp.points) == "hyperbolic")
+
+    def dot(v):
+        acc = 0
+        for x, y in zip(a, v):
+            acc = gf.add(acc, gf.mul(x, y))
+        return acc
     inside = [g for g, rows in enumerate(sp.generators)
-              if all(sp._dot(a, r) == 0 for r in rows)]
+              if all(dot(r) == 0 for r in rows)]
     anchor = inside[0]
     one = [g for g in inside
            if (sp.d - 1 - sp.intersection_vdim(anchor, g)) % 2 == 0]

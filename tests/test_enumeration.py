@@ -228,6 +228,32 @@ def test_hyperbolic_classes_q62():
     assert classes == sorted(classes)
 
 
+def test_hyperbolic_classes_match_dot_products():
+    # every hyperbolic section's generators found by a.r = 0 on each
+    # echelon row, split by the parity of their meet with the first one
+    from polarcl.geometry import classify_hyperplane_section
+    sp = get_space_by_name("Q(6,2)")
+    gf = sp.gf
+    expected = []
+    for a in all_hyperplanes(gf, 6):
+        if classify_hyperplane_section(sp.form, a, sp.points) != "hyperbolic":
+            continue
+        inside = []
+        for g, rows in enumerate(sp.generators):
+            dots = set()
+            for r in rows:
+                acc = 0
+                for x, y in zip(a, r):
+                    acc = gf.add(acc, gf.mul(x, y))
+                dots.add(acc)
+            if dots == {0}:
+                inside.append(g)
+        one = [g for g in inside if sp.intersection_vdim(inside[0], g) % 2 == 0]
+        expected.append(sum(1 << g for g in one))
+        expected.append(sum(1 << g for g in inside if g not in one))
+    assert sp.hyperbolic_classes() == sorted(expected)
+
+
 def test_hyperbolic_classes_w52_via_parabolic_model():
     sp = get_space_by_name("W(5,2)")
     classes = sp.hyperbolic_classes()

@@ -70,10 +70,14 @@ def load_space(path) -> PolarSpace:
     """
     with open(path) as fh:
         data = json.load(fh)
-    d = data["manifest"]["descriptor"]
-    space = get_space(d["family"], d["rank"], d["q"], d["dim"])
+    try:
+        d, stored = data["manifest"]["descriptor"], data["generators"]
+        space = get_space(d["family"], d["rank"], d["q"], d["dim"])
+    except (KeyError, TypeError) as ex:
+        raise GeometryError(f"{path}: not a space file, no manifest "
+                            f"descriptor or generator list ({ex!r})") from None
     gens = [space.serialize_subspace(g) for g in space.generators]
-    if data["generators"] != gens:
+    if stored != gens:
         raise GeometryError(f"{path}: generator list does not match the "
                             f"canonical enumeration of {space.name()}")
     return space

@@ -133,6 +133,15 @@ def cmd_construct(args) -> int:
     space = load_space(args.space)
     ctx = get_context(space)
     kind = args.kind
+    flag = {"point_pencil": "point", "complement_of_pencil": "point",
+            "hyperbolic_class": "index", "base_plane": "gen",
+            "base_solid": "center"}.get(kind)
+    if flag is not None:
+        count = (len(space.points) if flag == "point" else space.n_generators
+                 if flag != "index" else len(space.hyperbolic_classes()))
+        if not 0 <= getattr(args, flag) < count:
+            raise GeometryError(f"--{flag} {getattr(args, flag)} is not in "
+                                f"0..{count - 1}")
     if kind == "point_pencil":
         gs = construct_point_pencil(ctx, args.point, args.generator_class)
     elif kind == "hyperbolic_class":
@@ -174,6 +183,8 @@ def cmd_search(args) -> int:
     t0 = _time.time()
     if args.limit is not None and args.target not in ("spread", "regular"):
         raise ValueError(f"--limit is not supported by search {args.target}")
+    if args.xmax < 1 and args.target in ("tight", "cl"):
+        raise ValueError(f"--xmax must be at least 1, got {args.xmax}")
     space = load_space(args.space)
     budget = args.budget
     if args.target == "spread":
@@ -315,7 +326,7 @@ def main(argv=None) -> int:
     args.argv = argv  # recorded as the manifest's command
     try:
         return args.fn(args)
-    except (GeometryError, BudgetError, FileNotFoundError, ValueError) as ex:
+    except (GeometryError, BudgetError, OSError, ValueError) as ex:
         print(f"polarcl: error: {ex}", file=sys.stderr)
         return 2
     except VerificationError as ex:

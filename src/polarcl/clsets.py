@@ -342,14 +342,6 @@ def is_regular_system(gs: GenSet, m: int) -> bool:
     return direct
 
 
-def regular_system_m(gs: GenSet):
-    """The unique m if the set is a regular system, else None."""
-    sp = gs.ctx.space
-    rows = sp.point_gen_masks()
-    ms = {(row & gs.mask).bit_count() for row in rows}
-    return ms.pop() if len(ms) == 1 else None
-
-
 # -- constructions ---------------------------------------------------------------
 
 

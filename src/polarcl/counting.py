@@ -86,17 +86,6 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return _divide(num, den, f"[{n},{k}]_{q}")
 
 
-def q_binomial_theorem_check(n: int, q: int, t) -> bool:
-    """Exact check of sum_k [n,k]_q q^C(k,2) t^k = prod_{k<n} (1 + q^k t)."""
-    t = Fraction(t)
-    lhs = sum(gaussian_binomial(n, k, q) * Fraction(q) ** binom2(k) * t ** k
-              for k in range(n + 1))
-    rhs = Fraction(1)
-    for k in range(n):
-        rhs *= 1 + Fraction(q) ** k * t
-    return lhs == rhs
-
-
 # -- subspace counts -----------------------------------------------------------
 
 def num_kspaces(d: int, e, q: int, k: int) -> int:
@@ -135,10 +124,6 @@ def pencil_size(d: int, e, q: int) -> int:
     for i in range(d - 1):
         v *= qpow(q, Fraction(e) + i) + 1
     return _integral(v, "pencil size")
-
-
-def num_disjoint_from_generator(d: int, e, q: int) -> int:
-    return qint(q, binom2(d) + d * Fraction(e))
 
 
 def regular_system_size(d: int, e, q: int, m: int) -> int:
@@ -230,29 +215,6 @@ class EigenvalueTable:
         s = sum(Fraction(self.P[j][i] ** 2, degree_k(self.d, self.e, self.q, i))
                 for i in range(self.d + 1))
         return _integral(Fraction(n) / s, f"multiplicity m_{j}")
-
-
-def min_eigenvalue_spaces(desc) -> set[int]:
-    """Indices j with P_{j,d} equal to -q^{C(d-1,2)+e(d-1)}.
-
-    That value is the disjointness eigenvalue on V_1; it reappears on
-    V_{d-1} for hyperbolic quadrics of even rank and on V_d for the
-    parameter-one spaces of odd rank, and nowhere else.
-    """
-    d, e = desc.rank, Fraction(desc.e)
-    out = {1}
-    if e == 0 and d % 2 == 0:
-        out.add(d - 1)
-    if e == 1 and d % 2 == 1:
-        out.add(d)
-    target = -qint(desc.q, binom2(d - 1) + e * (d - 1))
-    for j in range(d + 1):
-        got = eigenvalue_disjointness(j, d, e, desc.q)
-        if (got == target) != (j in out):
-            relation = "==" if j in out else "!="
-            raise CountingError(f"P_{{{j},{d}}} = {got}, expected "
-                                f"{relation} {target}")
-    return out
 
 
 def kms_disjoint_to_two(desc, v: int) -> int:

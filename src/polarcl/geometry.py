@@ -236,17 +236,6 @@ class Form:
 
 # -- subspaces ----------------------------------------------------------------
 
-def is_totally_isotropic(rows, form: Form) -> bool:
-    """All basis vectors isotropic and all pairwise pairings vanish."""
-    for i, r in enumerate(rows):
-        if not form.is_isotropic_point(r):
-            return False
-        for s in rows[i:]:
-            if form.pair(r, s) != 0:
-                return False
-    return True
-
-
 def perp(rows, form: Form):
     """The polar subspace {v : pairing(r, v) = 0 for all rows r}, in RREF.
 

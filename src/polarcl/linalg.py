@@ -16,11 +16,22 @@ multiply and one add on a big int.  Three kernels use this layout.
 - `ModEchelon` keeps an echelon basis modulo a prime p (`PRIME` unless
   given).  Vectors independent modulo p are independent over Q (a nonzero
   minor mod p is a nonzero integer minor), not conversely, so the rank
-  r_p never exceeds rank_Q.  Stored rows have fields in [0, p) and a row
-  operation adds at most (p - 1)^2 to a field; after at most n of them a
-  field is below (p - 1) + n (p - 1)^2, so B >= bits(p - 1) +
-  bits(n (p - 1)^2) + 1 keeps fields apart.  `rref` keeps the bound: a
-  row is reduced mod p before it clears its pivot from the rows above.
+  r_p never exceeds rank_Q.  A vector enters with fields in
+  [0, n (p - 1)], such as a sum of at most n rows reduced mod p.
+  Stored rows have fields in [0, p) and a row operation adds at most
+  (p - 1)^2 to a field, so after at most n of them a field is at most
+  X_0 = n (p - 1) + n (p - 1)^2 = n p (p - 1); B >= bits(X_0) keeps
+  fields apart.  `rref` keeps the bound: a row is reduced mod p before
+  it clears its pivot from the rows above.
+- Reduction mod p works on all fields at once.  With 2^s = eps (mod p),
+  s in {bits(p) - 1, bits(p)} and |eps| least, a fold maps each field x
+  to (x mod 2^s) + eps floor(x / 2^s) + c p = x (mod p), fields at most
+  X_{k+1} = 2^s - 1 + max(eps, 0) floor(X_k / 2^s) + c p; for eps < 0,
+  c = ceil(|eps| floor(X_k / 2^s) / p) keeps fields nonnegative, so none
+  borrows.  Folds run while the chain X_0 > X_1 > ... falls (computed at
+  construction), then floor(X / p) conditional subtracts, each reading
+  x >= p off the bias bit 2^(B-1) of (x + 2^(B-1)) - p, B > bits(X).
+  `PRIME` = 2^20 + 7 (2^20 = -7) takes two folds and one subtract.
 - `kernel_columns` reads one kernel vector off each free column of that
   RREF, lifts each entry u to the unique a/b = u (mod p) with |a|, b <=
   sqrt(p / 2), if any (rational reconstruction, Wang 1981), and clears
@@ -42,7 +53,7 @@ multiply and one add on a big int.  Three kernels use this layout.
 from __future__ import annotations
 
 from bisect import bisect
-from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, lcm
 
 from .gf import GF
@@ -172,19 +183,35 @@ def _unpack(packed: int, ncols: int, nbytes: int) -> list[int]:
 class ModEchelon:
     """Incremental echelon basis modulo a prime p over packed rows.
 
-    Rows are stored in insertion order, with fields reduced into [0, p),
-    pivot entry 1, and zeros at the pivots of every earlier row; reducing
-    a vector against them in that order clears each pivot in turn.  A
-    vector's fields are reduced modulo p only when it is stored.  See the
-    module docstring for the field width and for what an accepted row
-    certifies over Q.
+    Rows are stored in insertion order, with fields in [0, p), pivot
+    entry 1, and zeros at the pivots of every earlier row; reducing a
+    vector against them in that order clears each pivot in turn.  The
+    module docstring gives the field width, the reduction mod p (run
+    once per stored vector) and what an accepted row certifies over Q.
     """
 
     def __init__(self, ncols: int, p: int | None = None):
         self.ncols = ncols
         self.p = p = PRIME if p is None else p
-        bits = (p - 1).bit_length() + (ncols * (p - 1) ** 2).bit_length() + 1
-        self.nbytes = -(-bits // 8)
+        self.bound = top = max(ncols, 1) * p * (p - 1)
+        self._s, self._eps = s, eps = min(
+            ((s, (2 ** s + p // 2) % p - p // 2)
+             for s in (p.bit_length() - 1, p.bit_length())),
+            key=lambda t: (abs(t[1]), t[1] < 0))
+        multiples = []  # c of each fold, while the field bound falls
+        while True:
+            c = -(eps * (top >> s) // p) if eps < 0 else 0
+            nxt = (1 << s) - 1 + max(eps, 0) * (top >> s) + c * p
+            if nxt >= top:
+                break
+            top = nxt
+            multiples.append(c)
+        self.nbytes = -(-max(self.bound.bit_length(), top.bit_length() + 1) // 8)
+        self.width = width = 8 * self.nbytes
+        ones = spread((1 << ncols) - 1, width)
+        self._low, self._high = ones * ((1 << s) - 1), ones * ((1 << width - s) - 1)
+        self._adds = [ones * c * p for c in multiples]
+        self._subtracts, self._bias, self._ps = top // p, ones << width - 1, ones * p
         self.rows: list[int] = []
         self.pivots: list[int] = []
 
@@ -192,34 +219,48 @@ class ModEchelon:
     def rank(self) -> int:
         return len(self.rows)
 
+    def pack(self, vec) -> int:
+        """A list of integers as a packed row of their residues mod p."""
+        return _pack([x % self.p for x in vec], self.nbytes)
+
+    def reduce(self, v: int) -> int:
+        """The packed row v, fields in [0, bound], with every field
+        reduced into [0, p): the folds, then the conditional subtracts."""
+        s, eps, low, high = self._s, self._eps, self._low, self._high
+        for add in self._adds:
+            v = (v & low) + add + eps * (v >> s & high)
+        bias, ps, shift, p = self._bias, self._ps, self.width - 1, self.p
+        for _ in range(self._subtracts):
+            v -= (((v | bias) - ps & bias) >> shift) * p
+        return v
+
     def add(self, vec) -> bool:
-        """Insert vec (integer entries) if it is independent modulo p of
-        the current rows; report whether it was."""
-        p, nb = self.p, self.nbytes
-        width, fmask = 8 * nb, (1 << 8 * nb) - 1
-        v = _pack([x % p for x in vec], nb)
+        """Insert vec if it is independent modulo p of the current rows;
+        report whether it was.  vec is a packed row with fields in
+        [0, ncols (p - 1)], or a list of integers, packed once."""
+        p, width, fmask = self.p, self.width, (1 << self.width) - 1
+        v = vec if isinstance(vec, int) else self.pack(vec)
         for piv, row in zip(self.pivots, self.rows):
             c = (v >> width * piv & fmask) % p
             if c:
                 v += (p - c) * row
-        vals = [x % p for x in _unpack(v, self.ncols, nb)]
-        piv = next((t for t, x in enumerate(vals) if x), None)
-        if piv is None:
+        v = self.reduce(v)
+        if not v:
             return False
-        inv = pow(vals[piv], -1, p)
-        self.rows.append(_pack([x * inv % p for x in vals], nb))
+        piv = ((v & -v).bit_length() - 1) // width
+        inv = pow(v >> width * piv & fmask, -1, p)
+        self.rows.append(v if inv == 1 else self.reduce(v * inv))
         self.pivots.append(piv)
         return True
 
     def rref(self) -> list[list[int]]:
         """Back-substitute to the reduced form mod p; returns the entries
         of the rows, which then have zeros at each other's pivots."""
-        p, nb = self.p, self.nbytes
-        width, fmask = 8 * nb, (1 << 8 * nb) - 1
+        p, width, fmask = self.p, self.width, (1 << self.width) - 1
         rows, entries = self.rows, [None] * len(self.rows)
         for j in range(len(rows) - 1, -1, -1):
-            entries[j] = [x % p for x in _unpack(rows[j], self.ncols, nb)]
-            rows[j] = row = _pack(entries[j], nb)
+            rows[j] = row = self.reduce(rows[j])
+            entries[j] = _unpack(row, self.ncols, self.nbytes)
             for i in range(j):
                 c = (rows[i] >> width * self.pivots[j] & fmask) % p
                 if c:
@@ -277,13 +318,25 @@ def _bits(m):
 
 
 def spread(mask: int, width: int) -> int:
-    """The 0/1 vector of a bitmask, packed into fields of `width` bits."""
+    """The 0/1 vector of a bitmask, packed into fields of `width` bits:
+    one table lookup per byte of the mask when width is a multiple of 8."""
+    if width % 8 == 0:
+        raw = mask.to_bytes(-(-mask.bit_length() // 8), "little")
+        return int.from_bytes(b"".join(map(_spread_table(width).__getitem__,
+                                           raw)), "little")
     out = 0
     while mask:
         low = mask & -mask
         out |= 1 << width * (low.bit_length() - 1)
         mask ^= low
     return out
+
+
+@cache
+def _spread_table(width: int) -> list[bytes]:
+    """Byte b -> the `width` bytes of its 8 bits spread over fields."""
+    return [sum(1 << width * t for t in range(8) if b >> t & 1).to_bytes(
+        width, "little") for b in range(256)]
 
 
 def eigencheck_width(degree: int, peak: int) -> int:
@@ -312,15 +365,3 @@ def first_non_eigenvector(masks, lam: int, vectors):
         if acc:
             return idx
     return None
-
-
-# -- rational vectors ----------------------------------------------------------
-
-def scale_to_int(vec) -> list[int]:
-    """Clear denominators of a rational vector (entries may be int or Fraction)."""
-    mult = 1
-    for x in vec:
-        if isinstance(x, Fraction):
-            d = x.denominator
-            mult = mult // gcd(mult, d) * d
-    return [int(x * mult) for x in vec]

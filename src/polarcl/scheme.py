@@ -3,12 +3,22 @@
 A SchemeContext holds, for an enumerated polar space with generator set
 Omega (canonical order):
 
-    dist            the distance oracle d - dim_vec(pi ^ pi')
     A[i]            0/1 adjacency of the i-th distance relation, as bitmask rows
     K = A[d]        the disjointness relation
     C[k]            incidence of (k-1)-spaces with generators
     B               hyperbolic classes x generators (type III only)
     P               the exact eigenvalue table of the scheme
+
+Relations by point counts.  Generators at distance i meet in a
+(d - i)-space, of (q^{d-i} - 1)/(q - 1) points (q the field order), a
+count distinct for each i.  Row g of sum_{p in g} A[p], A the
+point-generator incidence, counts the points g shares with each h, so
+A_i[g] is where that sum spells the count of a (d - i)-space.  The rows
+are added into bit-sliced counters (Knuth, TAOCP 4A, 7.1.3); unless the
+A_i[g] cover Omega, VerificationError is raised.  B^t B is checked the
+same way: row u, the column sum of the classes through u, must read
+q^{d-i} on A_i[u] for even i and 0 for odd i, and the A_i[u] partition
+Omega, so the rows cover every pair.
 
 Eigenspace membership is decided by annihilator polynomials in A_1: the
 eigenvalues P_{j,1} are pairwise distinct, so each factor (A_1 - P_{j,1} I)
@@ -21,26 +31,30 @@ and certifies it; see there.  No floating point anywhere.
 
 Eigenspace bases (`eigenspace_bases`) take three steps, each exact.
 
-- Projection by popcounts.  The annihilator prod_{l != j} (A_1 - P_{l,1} I)
-  lies in the Bose-Mesner algebra, so it equals sum_i alpha_i A_i with
-  integer alpha_i.  They follow from expanding the product with the
-  intersection numbers: multiplying sum_i x_i A_i by A_1 sends the
-  coefficients to x'_k = sum_i x_i p^k_{i1}.  A 0/1 row r of C_j then
-  projects to w_t = sum_i alpha_i |A_i[t] ^ r|, d + 1 popcounts per entry.
+- Projection.  The annihilator prod_{l != j} (A_1 - P_{l,1} I) lies in
+  the Bose-Mesner algebra, so it equals sum_i alpha_i A_i with integer
+  alpha_i.  They follow from expanding the product with the intersection
+  numbers: multiplying sum_i x_i A_i by A_1 sends the coefficients to
+  x'_k = sum_i x_i p^k_{i1}.  Its column g mod p is the packed row
+  R_g = sum_i (alpha_i mod p) spread(A_i[g]), fields in [0, p).  A 0/1
+  row r of C_j projects mod p to sum_{g in r} R_g, fields at most
+  n (p - 1), and exactly to w_t = sum_i alpha_i |A_i[t] ^ r|, which is
+  computed for kept rows only.
 - Independence modulo one prime.  The projections are kept greedily while
   they are independent modulo `linalg.PRIME`, in a packed-row echelon.
   The certificate is one-sided: independence mod p implies independence
-  over Q, so an accepted basis is independent; a rank that falls short of
-  the multiplicity raises SchemeError, with no fallback.  The annihilator
-  acts on V_j as the scalar prod_{l != j} (P_{j,1} - P_{l,1}), and a prime
-  that divides a factor loses rank (p = 5 reaches rank 1 of 9 on V_1 of
-  W(3,2)).  p > 2^20 exceeds every |P_{j,1} - P_{l,1}| <= 2 P_{0,1} while
-  the valency P_{0,1} is below 2^19.
+  over Q, so an accepted basis is independent (each kept w must reduce
+  to the accepted row); a rank that falls short of the multiplicity
+  raises SchemeError, with no fallback.  The annihilator acts on V_j as
+  the scalar prod_{l != j} (P_{j,1} - P_{l,1}), and a prime that divides
+  a factor loses rank (p = 5 reaches rank 1 of 9 on V_1 of W(3,2)).
+  p > 2^20 exceeds every |P_{j,1} - P_{l,1}| <= 2 P_{0,1} while the
+  valency P_{0,1} is below 2^19.
 - Packed eigencheck.  Every basis vector w of V_j satisfies
   A_1 w = P_{j,1} w, checked as one integer identity on packed rows whose
   field width, bits(k max|w|) + 2, keeps the fields from carrying.  The
-  field width of the modular echelon is bits(p - 1) + bits(n (p - 1)^2) + 1.
-  Both bounds are derived in `linalg`.
+  modular echelon takes fields up to n (p - 1) and grows them to at most
+  n p (p - 1).  Both bounds are derived in `linalg`.
 """
 
 from __future__ import annotations
@@ -50,7 +64,7 @@ from .counting import (EigenvalueTable, intersection_numbers, parameter_b,
 from .enumeration import PolarSpace
 from .geometry import VerificationError
 from .linalg import (PRIME, ModEchelon, _bits, first_non_eigenvector,
-                     kernel_columns, scale_to_int)
+                     kernel_columns, spread)
 
 
 class SchemeError(RuntimeError):
@@ -74,12 +88,13 @@ class CertifiedKernel:
     """
 
     def __init__(self, masks, n: int, columns=None):
+        local = masks if columns is None else _compress(masks, columns)
         columns = range(n) if columns is None else columns
         failures = []
         for p in KERNEL_PRIMES:
             ech = ModEchelon(len(columns), p)
-            for m in masks:
-                ech.add([(m >> g) & 1 for g in columns])
+            for m in local:
+                ech.add(spread(m, ech.width))
             self.rank, self.dim = ech.rank, len(columns) - ech.rank
             lifted = kernel_columns(ech)
             if lifted is None:
@@ -114,14 +129,32 @@ class CertifiedKernel:
         acc = sum([self.cols[g] for g in _bits(mask)])
         return ((acc & -acc).bit_length() - 1) // self.width if acc else None
 
-    def contains(self, vec, positions=None) -> bool:
-        """`witness` for a multiple of a 0/1 vector, entry t at column
-        positions[t]; other vectors raise SchemeError."""
-        vec = scale_to_int(vec)
-        if len(set(vec) - {0}) > 1:
-            raise SchemeError("image test of a vector that is not 0/1 scaled")
-        return self.witness(sum(1 << g for g, x in zip(
-            positions or range(len(vec)), vec) if x)) is None
+
+def _compress(masks, columns):
+    """Each mask with bit columns[t] moved to bit t, other bits dropped."""
+    at = {g: t for t, g in enumerate(columns)}
+    return [sum(1 << at[g] for g in _bits(m) if g in at) for m in masks]
+
+
+def _column_sums(masks):
+    """Bit planes of the column sums of 0/1 rows, one ripple-carry add
+    per row: bit h of planes[t] is bit t of the count of rows holding h."""
+    planes = []
+    for m in masks:
+        t = 0
+        while m:
+            if t == len(planes):
+                planes.append(0)
+            planes[t], m, t = planes[t] ^ m, planes[t] & m, t + 1
+    return planes
+
+
+def _where(planes, value: int, full: int) -> int:
+    """The columns (within `full`) whose bit-sliced sum equals value."""
+    m = full if value < 1 << len(planes) else 0
+    for t, b in enumerate(planes):
+        m &= b if value >> t & 1 else ~b
+    return m
 
 
 class SchemeContext:
@@ -132,8 +165,7 @@ class SchemeContext:
         desc = space.desc
         self.table = EigenvalueTable(desc.rank, desc.e, desc.q)
         self.P = self.table.P
-        self.dist = self._distances()
-        self.A = self._distance_masks()
+        self.A = self._relations()
         self.K = self.A[self.d]
         self._neighbors = [list(_bits(m)) for m in self.A[1]]
         self._C = {}
@@ -143,26 +175,29 @@ class SchemeContext:
 
     # -- relations ---------------------------------------------------------
 
-    def _distances(self):
-        sp = self.space
-        n = self.n
-        dist = [[0] * n for _ in range(n)]
-        for i in range(n):
-            row = dist[i]
-            for j in range(i + 1, n):
-                dij = sp.distance(i, j)
-                row[j] = dij
-                dist[j][i] = dij
-        return dist
-
-    def _distance_masks(self):
-        n = self.n
-        A = [[0] * n for _ in range(self.d + 1)]
-        for i in range(n):
-            di = self.dist[i]
-            for j in range(n):
-                A[di[j]][i] |= 1 << j
+    def _relations(self):
+        """A[i][g] for every relation i and generator g, read off the
+        bit-sliced point counts (see the module docstring)."""
+        sp, d, n = self.space, self.d, self.n
+        q, rows, full = sp.desc.q, sp.point_gen_masks(), (1 << n) - 1
+        counts = [(q ** (d - i) - 1) // (q - 1) for i in range(d + 1)]
+        A = [[0] * n for _ in range(d + 1)]
+        for g, pm in enumerate(sp.gen_point_masks):
+            planes = _column_sums(rows[p] for p in _bits(pm))
+            covered = 0
+            for i, count in enumerate(counts):
+                A[i][g] = m = _where(planes, count, full)
+                covered += m.bit_count()
+            if covered != n:
+                raise VerificationError(
+                    f"generator {g} shares a subspace's point count with "
+                    f"{covered} generators, expected all {n}")
         return A
+
+    def _distance_row(self, u: int) -> bytes:
+        """Byte v is the distance of generators u and v."""
+        return sum(i * spread(self.A[i][u], 8)
+                   for i in range(1, self.d + 1)).to_bytes(self.n, "little")
 
     def incidence(self, k: int):
         """C_k rows: for every (k-1)-space, the bitmask of generators on it.
@@ -186,69 +221,77 @@ class SchemeContext:
             self._B = list(self.space.hyperbolic_classes())
         return self._B
 
-    def verify_BtB(self, sample=None):
+    def verify_BtB(self):
         """(B^t B)_{uv} = q^{d-i} at even distance i, 0 at odd distance.
 
         The entry counts hyperbolic classes through both generators; at
         odd distance the intersection dimension has the wrong parity for
         the two generators to share a section class, so those terms
-        vanish.  Returns None or the first violating pair.
+        vanish.  Row u is the bit-sliced column sum of the classes
+        through u, compared on every A_i[u].  Returns None or the first
+        violating pair (u, v, i, got, expect).
         """
         B = self.build_B()
-        q, d = self.space.desc.q, self.d
-        n = self.n
-        pairs = sample if sample is not None else [
-            (u, v) for u in range(n) for v in range(u, n)]
-        for u, v in pairs:
-            i = self.dist[u][v]
-            expect = q ** (d - i) if i % 2 == 0 else 0
-            got = sum(1 for m in B if (m >> u) & 1 and (m >> v) & 1)
-            if got != expect:
-                return (u, v, i, got, expect)
+        q, d, n, full = self.space.desc.q, self.d, self.n, (1 << self.n) - 1
+        through = [[] for _ in range(n)]
+        for m in B:
+            for g in _bits(m):
+                through[g].append(m)
+        expect = [q ** (d - i) if i % 2 == 0 else 0 for i in range(d + 1)]
+        for u in range(n):
+            planes = _column_sums(through[u])
+            bad = sum(self.A[i][u] & ~_where(planes, e, full)  # disjoint
+                      for i, e in enumerate(expect))
+            if bad:
+                v = (bad & -bad).bit_length() - 1
+                i = next(i for i in range(d + 1) if self.A[i][u] >> v & 1)
+                got = sum((b >> v & 1) << t for t, b in enumerate(planes))
+                return (u, v, i, got, expect[i])
         return None
 
     # -- verification ------------------------------------------------------
 
-    def verify_distance_regularity(self, pairs=None):
+    def verify_distance_regularity(self):
         """Empirical b_i, c_i over all pairs vs the closed forms.
 
         Returns (params, None) on success or (None, witness) with the
         first violating pair.
         """
         d, q, e = self.d, self.space.desc.q, self.space.desc.e
-        b = [parameter_b(d, e, q, i) for i in range(d)]
-        c = [parameter_c(d, e, q, i) for i in range(1, d + 1)]
-        n = self.n
-        it = pairs if pairs is not None else (
-            (u, v) for u in range(n) for v in range(u, n))
-        for u, v in it:
-            i = self.dist[u][v]
-            nb = self.A[1][u]
-            if i < d:
-                got_b = (nb & self.A[i + 1][v]).bit_count()
-                if got_b != b[i]:
-                    return None, (u, v, "b", i, got_b, b[i])
-            if i >= 1:
-                got_c = (nb & self.A[i - 1][v]).bit_count()
-                if got_c != c[i - 1]:
-                    return None, (u, v, "c", i, got_c, c[i - 1])
-        return {"b": b, "c": c}, None
+        b = [parameter_b(d, e, q, i) for i in range(d)] + [None]
+        c = [None] + [parameter_c(d, e, q, i) for i in range(1, d + 1)]
+        A, n = self.A, self.n
+        # at distance i: (rows at i + 1, b_i, rows at i - 1, c_i)
+        spec = [(A[i + 1] if i < d else None, b[i], A[i - 1] if i else None,
+                 c[i]) for i in range(d + 1)]
+        for u in range(n):
+            row, nb = self._distance_row(u), A[1][u]
+            for v in range(u, n):
+                up, bi, down, ci = spec[row[v]]
+                if up is not None and (nb & up[v]).bit_count() != bi:
+                    return None, (u, v, "b", row[v], (nb & up[v]).bit_count(),
+                                  bi)
+                if down is not None and (nb & down[v]).bit_count() != ci:
+                    return None, (u, v, "c", row[v],
+                                  (nb & down[v]).bit_count(), ci)
+        return {"b": b[:d], "c": c[1:]}, None
 
     def verify_intersection_numbers(self, sample=None):
         """A_i A_j = sum_k p^k_{ij} A_k, checked entrywise by counting."""
-        d = self.d
+        d, n, span = self.d, self.n, range(self.d + 1)
         p = intersection_numbers(d, self.space.desc.e, self.space.desc.q)
-        n = self.n
-        pairs = sample if sample is not None else [
-            (u, v) for u in range(n) for v in range(u, n)]
-        for u, v in pairs:
-            k = self.dist[u][v]
-            for i in range(d + 1):
-                Aiu = self.A[i][u]
-                for j in range(d + 1):
-                    got = (Aiu & self.A[j][v]).bit_count()
-                    if got != p[i][j][k]:
-                        return (u, v, i, j, got, p[i][j][k])
+        want = [[p[i][j][k] for i in span for j in span] for k in span]
+        rows = list(zip(*self.A))  # rows[g][i] = A_i[g]
+        groups = (((u, range(u, n)) for u in range(n)) if sample is None
+                  else ((u, (v,)) for u, v in sample))
+        for u, vs in groups:
+            row, at_u = self._distance_row(u), rows[u]
+            for v in vs:
+                got = [(a & b).bit_count() for a in at_u for b in rows[v]]
+                if got != want[row[v]]:
+                    t = next(t for t, (x, y) in enumerate(zip(got, want[row[v]]))
+                             if x != y)
+                    return (u, v, *divmod(t, d + 1), got[t], want[row[v]][t])
         return None
 
     # -- eigenspace machinery ------------------------------------------------
@@ -273,21 +316,14 @@ class SchemeContext:
             v = [a - lam * x for a, x in zip(av, v)]
         return v
 
-    def eigenspace_membership(self, v, S) -> bool:
-        """v in the orthogonal sum of V_j, j in S (exact).
-
-        The factor (A_1 - P_{j,1} I) kills the V_j component and scales
-        every other one (the P_{j,1} are pairwise distinct), so applying
-        the product over j in S leaves exactly the components outside S.
-        """
-        v = scale_to_int(v)
-        out = self.annihilate(v, sorted(S))
-        return not any(out)
-
     def set_eigenspace_membership(self, mask: int, S) -> bool:
-        """`eigenspace_membership` of the 0/1 characteristic vector chi of
-        a generator mask L.  The first factor is read off the rows:
-        ((A_1 - P_{j,1} I) chi)_i = |A_1[i] ^ L| - P_{j,1} chi_i."""
+        """Whether the 0/1 characteristic vector chi of a generator mask L
+        lies in the orthogonal sum of the V_j, j in S: the factor
+        (A_1 - P_{j,1} I) kills the V_j component and scales every other
+        one (the P_{j,1} are pairwise distinct), so the product over S
+        leaves exactly the components outside S.  The first factor is
+        read off the rows: ((A_1 - P_{j,1} I) chi)_i = |A_1[i] ^ L| -
+        P_{j,1} chi_i."""
         j0, *rest = sorted(S)
         lam = self.P[j0][1]
         v = [(row & mask).bit_count() - lam * ((mask >> i) & 1)
@@ -295,10 +331,10 @@ class SchemeContext:
         return not any(self.annihilate(v, rest))
 
     def orthogonal_to(self, v, j) -> bool:
-        """v orthogonal to V_j, i.e. the V_j component of v vanishes."""
-        v = scale_to_int(v)
-        out = self.annihilate(v, [l for l in range(self.d + 1) if l != j])
-        return not any(out)
+        """The integer vector v is orthogonal to V_j, i.e. the V_j
+        component of v vanishes."""
+        return not any(self.annihilate(v, [l for l in range(self.d + 1)
+                                           if l != j]))
 
     # -- image membership ------------------------------------------------------
 
@@ -311,12 +347,6 @@ class SchemeContext:
             masks = self.space.point_gen_masks() if which == "A" else self.build_B()
             self._image_bases[which] = CertifiedKernel(masks, self.n)
         return self._image_bases[which]
-
-    def image_membership(self, v, which: str) -> bool:
-        return self.image_basis(which).contains(v)
-
-    def rank_of_incidence(self, k: int) -> int:
-        return CertifiedKernel(self.incidence(k), self.n).rank
 
     # -- eigenspace bases (via the incidence matrices) ---------------------------
 
@@ -372,10 +402,19 @@ class SchemeContext:
             alpha = self._annihilator(j)
             want = self.table.multiplicity(j)
             ech = ModEchelon(n)
+            p, width = ech.p, ech.width
+            coef = [(a % p, rows) for a, rows in zip(alpha, self.A) if a % p]
+            cols = [sum(c * spread(rows[g], width) for c, rows in coef)
+                    for g in range(n)]
             basis = []
             for m in self.incidence(j):
-                w = self._project(alpha, m)
-                if ech.add(w):
+                row = sum([cols[g] for g in _bits(m)])
+                if ech.add(row):
+                    w = self._project(alpha, m)
+                    if ech.pack(w) != ech.reduce(row):
+                        raise SchemeError(
+                            f"basis vector {len(basis)} of V_{j} fails to "
+                            f"match its packed projection modulo p = {p}")
                     basis.append(w)
                     if ech.rank == want:
                         break
@@ -424,18 +463,8 @@ class RestrictedScheme:
         self.members = sp.class_members(label)
         self.m = len(self.members)
         self.half = sp.d // 2
-        self.A = []
-        for i in range(self.half + 1):
-            full = ctx.A[2 * i]
-            rows = []
-            for g in self.members:
-                mask = 0
-                fm = full[g]
-                for t, h in enumerate(self.members):
-                    if (fm >> h) & 1:
-                        mask |= 1 << t
-                rows.append(mask)
-            self.A.append(rows)
+        self.A = [_compress([ctx.A[2 * i][g] for g in self.members], self.members)
+                  for i in range(self.half + 1)]
         self.K = self.A[self.half]
         self.P = [[ctx.P[j][2 * i] for i in range(self.half + 1)]
                   for j in range(self.half + 1)]
@@ -479,12 +508,9 @@ class RestrictedScheme:
             v = [a - vals[j] * x for a, x in zip(tv, v)]
         return v
 
-    def eigenspace_membership(self, v, S) -> bool:
-        return not any(self.annihilate(scale_to_int(v), sorted(S)))
-
     def set_eigenspace_membership(self, mask: int, S) -> bool:
-        """`eigenspace_membership` of the characteristic vector of a mask
-        L inside the class.  The first factor is read off the full rows:
+        """`SchemeContext.set_eigenspace_membership` for a mask L inside
+        the class.  The first factor is read off the full rows:
         (A'_i chi)_t = |A_{2i}[g_t] ^ L|, with no remapping of L."""
         weights, vals = self._combination()
         j0, *rest = sorted(S)
@@ -503,6 +529,3 @@ class RestrictedScheme:
                 [pm & cm for pm in self.ctx.space.point_gen_masks()],
                 self.ctx.n, self.members)
         return self._image_basis_cache
-
-    def image_membership(self, v) -> bool:
-        return self.image_basis().contains(v, self.members)

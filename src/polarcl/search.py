@@ -84,10 +84,12 @@ DEFAULT_NODE_BUDGET = 50_000_000
 
 
 def node_budget(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get("POLARCL_BUDGET_NODES")
-    return int(env) if env else DEFAULT_NODE_BUDGET
+    if override is None:
+        env = os.environ.get("POLARCL_BUDGET_NODES")
+        override = int(env) if env else DEFAULT_NODE_BUDGET
+    if override < 1:
+        raise ValueError(f"a node budget must be at least 1, got {override}")
+    return override
 
 
 @dataclass
@@ -413,34 +415,6 @@ def find_cl_bounded(space, x_max: int, budget=None) -> SearchResult:
         res.meta["by_parameter"][x] = found
         res.solutions.extend(found)
     return res
-
-
-def max_disjoint_in(gs: GenSet) -> int:
-    """Largest pairwise-disjoint subfamily of the set (exact clique size)."""
-    members = gs.members()
-    nu = len(members)
-    disj = [0] * nu
-    K = gs.ctx.scheme.K
-    for a in range(nu):
-        for b in range(nu):
-            if a != b and (K[members[a]] >> members[b]) & 1:
-                disj[a] |= 1 << b
-    best = 0
-
-    def rec(cand: int, size: int):
-        nonlocal best
-        best = max(best, size)
-        m = cand
-        while m:
-            low = m & -m
-            t = low.bit_length() - 1
-            m ^= low
-            if size + 1 + (disj[t] & m).bit_count() <= best:
-                continue
-            rec(cand & disj[t] & ~((1 << (t + 1)) - 1), size + 1)
-
-    rec((1 << nu) - 1, 0)
-    return best
 
 
 # -- classification labels ----------------------------------------------------------

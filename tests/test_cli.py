@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from polarcl.cli import main
 
 
@@ -281,3 +283,66 @@ def test_limit_on_a_search_that_ignores_it_exits_2(tmp_path, capsys):
         assert f"--limit is not supported by search {target}" in captured.err
         assert "Traceback" not in captured.err and not captured.out
         assert not out.exists()
+
+
+def _w32_file(tmp_path):
+    space_file = tmp_path / "w32.json"
+    run(["space", "enumerate", "--space-name", "W(3,2)", "--out",
+         str(space_file)])
+    return space_file
+
+
+def _no_manifest(tmp_path):
+    data = json.loads(_w32_file(tmp_path).read_text())
+    del data["manifest"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(data))
+    return (["construct", "--space", str(bare), "--kind", "point_pencil",
+             "--out", str(tmp_path / "set.txt")], "not a space file")
+
+
+def _construct_arg(flag, value, kind):
+    def case(tmp_path):
+        return (["construct", "--space", str(_w32_file(tmp_path)), "--kind",
+                 kind, flag, value, "--out", str(tmp_path / "set.txt")],
+                f"{flag} {value} is not in 0..")
+    return case
+
+
+def _directory_as_space(tmp_path):
+    return (["check", "--space", str(tmp_path), "--set",
+             str(tmp_path / "set.txt")], "Is a directory")
+
+
+def _search_arg(target, flag, value, message):
+    def case(tmp_path):
+        return (["search", target, "--space", str(_w32_file(tmp_path)), flag,
+                 value, "--out", str(tmp_path / "res.json")], message)
+    return case
+
+
+BAD_INPUTS = {
+    "space-without-manifest": _no_manifest,
+    "point-past-the-last": _construct_arg("--point", "9999", "point_pencil"),
+    "negative-point": _construct_arg("--point", "-1", "complement_of_pencil"),
+    "gen-past-the-last": _construct_arg("--gen", "15", "base_plane"),
+    "space-is-a-directory": _directory_as_space,
+    "cl-xmax-negative": _search_arg("cl", "--xmax", "-1", "--xmax must be at least 1"),
+    "cl-xmax-zero": _search_arg("cl", "--xmax", "0", "--xmax must be at least 1"),
+    "tight-xmax-zero": _search_arg("tight", "--xmax", "0", "--xmax must be at least 1"),
+    "negative-budget": _search_arg("spread", "--budget", "-5",
+                                   "a node budget must be at least 1, got -5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_a_message(tmp_path, capsys, case):
+    argv, message = BAD_INPUTS[case](tmp_path)
+    capsys.readouterr()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("polarcl: error:"), captured.err
+    assert message in captured.err and "Traceback" not in captured.err
+    assert not captured.out
+    assert not (tmp_path / "set.txt").exists()
+    assert not (tmp_path / "res.json").exists()

@@ -19,7 +19,7 @@ from polarcl.clsets import (GenSet, VerificationError, check_cl, complement,
                             eigenspace_indices, expected_profile_class,
                             expected_profile_type_I, get_context,
                             intersection_profile, is_regular_system,
-                            profile_verdict, regular_system_m, space_type,
+                            profile_verdict, space_type,
                             union, z_profile)
 from polarcl.clsets import test_disjointness_counts as disjointness_test
 from polarcl.clsets import test_eigenspace as eigenspace_test
@@ -30,6 +30,9 @@ from polarcl.counting import binom2, num_generators, pencil_size, qint
 from polarcl.enumeration import get_space_by_name
 from polarcl.geometry import GeometryError, descriptor, descriptor_from_name
 from polarcl.search import find_spreads
+
+from reference import (class_image_membership, eigenspace_membership,
+                       image_membership, regular_system_m)
 
 
 def ctx_of(name):
@@ -124,7 +127,7 @@ def test_one_class_of_qplus52_fails_cl():
     rep = check_cl(gs)
     assert not rep.is_cl
     assert is_regular_system(gs, 3)  # (q+1)-regular system
-    assert ctx.scheme.eigenspace_membership(gs.chi(), {0, 3})
+    assert eigenspace_membership(ctx.scheme, gs.chi(), {0, 3})
 
 
 def test_eigenspace_counterexample_qminus52():
@@ -336,7 +339,7 @@ def test_mixed_class_pencil_set():
     gs = GenSet(qp7, mixed)
     rep = check_cl(gs)
     assert rep.is_cl and gs.x == 1
-    assert not qp7.scheme.image_membership(gs.chi(), "A")
+    assert not image_membership(qp7.scheme, gs.chi(), "A")
     # negative control on the odd-rank quadric: the analogous mixed set is
     # not Cameron-Liebler there, consistent with type I equivalence
     qp5 = ctx_of("Q+(5,2)")
@@ -348,7 +351,7 @@ def test_mixed_class_pencil_set():
     gs5 = GenSet(qp5, mixed5)
     rep5 = check_cl(gs5)
     assert not rep5.is_cl
-    assert not qp5.scheme.image_membership(gs5.chi(), "A")
+    assert not image_membership(qp5.scheme, gs5.chi(), "A")
 
 
 def test_full_class_is_not_cl_despite_image_parts():
@@ -368,7 +371,7 @@ def test_full_class_is_not_cl_despite_image_parts():
         rs = qp7.restricted(lab)
         part = GenSet(qp7, gs.mask & qp7.space.class_mask(lab), lab)
         assert part.x == expect_x
-        assert rs.image_membership(part.chi(rs.members))
+        assert class_image_membership(rs, part.chi(rs.members))
 
 
 def test_characterisation_II_bis():
@@ -451,7 +454,7 @@ def reference_eigenspace(gs):
         S = sorted(eigenspace_indices(ctx.space.desc))
         return not any(ctx.scheme.annihilate(gs.chi(), S)), S
     rs = ctx.restricted(gs.class_label)
-    return rs.eigenspace_membership(gs.chi(rs.members), {0, 1}), [0, 1]
+    return eigenspace_membership(rs, gs.chi(rs.members), {0, 1}), [0, 1]
 
 
 def battery_cases(ctx, rng, label=None):

@@ -9,13 +9,14 @@ from polarcl.counting import (CountingError, EigenvalueTable, binom2,
                               class_disjoint_to_two, degree_k,
                               eigenvalue, eigenvalue_disjointness,
                               gaussian_binomial, intersection_numbers,
-                              kms_disjoint_to_two, min_eigenvalue_spaces,
-                              num_disjoint_from_generator, num_generators,
+                              kms_disjoint_to_two, num_generators,
                               num_kspaces, num_kspaces_through_mspace,
                               num_points, parameter_b, parameter_c,
-                              pencil_size, q_binomial_theorem_check, qpow,
-                              regular_system_size)
+                              pencil_size, qpow, regular_system_size)
 from polarcl.geometry import descriptor_from_name
+
+from reference import (min_eigenvalue_spaces, num_disjoint_from_generator,
+                       q_binomial_theorem_check)
 
 
 def brute_count_subspaces(n, k, q):

@@ -2,8 +2,8 @@
 
 import pytest
 
-from polarcl.counting import (num_disjoint_from_generator, num_kspaces,
-                              num_kspaces_through_mspace, pencil_size)
+from polarcl.counting import (num_kspaces, num_kspaces_through_mspace,
+                              pencil_size)
 from polarcl.clsets import GenSet, check_cl, get_context
 from polarcl.enumeration import (BudgetError, PolarSpace, certify_isometry,
                                  get_space, get_space_by_name,
@@ -12,6 +12,7 @@ from polarcl.geometry import (GeometryError, VerificationError, all_hyperplanes,
                               descriptor, gf_rref, section_point_count)
 
 from gf_reference import gf_reduce
+from reference import num_disjoint_from_generator
 
 ALL_SPACES = ["Q+(5,2)", "Q+(7,2)", "Q(4,2)", "Q(6,2)", "Q-(5,2)",
               "W(3,2)", "W(3,3)", "W(5,2)", "H(3,4)", "H(4,4)"]

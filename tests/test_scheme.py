@@ -7,7 +7,14 @@ import pytest
 from polarcl.clsets import get_context
 from polarcl.counting import gaussian_binomial
 from polarcl.enumeration import get_space_by_name
+from polarcl.geometry import VerificationError
+from polarcl.linalg import _bits
 from polarcl.scheme import SchemeError
+
+from reference import (class_image_membership, eigenspace_membership,
+                       image_membership, rank_of_incidence, reference_btb,
+                       reference_intersection_witness,
+                       reference_regularity_witness, reference_relations)
 
 
 def ctx_of(name):
@@ -55,15 +62,15 @@ def test_eigenspace_membership_examples():
     sch = ctx_of("W(3,2)")
     n = sch.n
     ones = [1] * n
-    assert sch.eigenspace_membership(ones, {0})
-    assert not sch.eigenspace_membership(ones, {1})
-    assert not sch.eigenspace_membership(ones, {2})
+    assert eigenspace_membership(sch, ones, {0})
+    assert not eigenspace_membership(sch, ones, {1})
+    assert not eigenspace_membership(sch, ones, {2})
     pencil = [(get_space_by_name("W(3,2)").point_gen_masks()[0] >> g) & 1
               for g in range(n)]
-    assert sch.eigenspace_membership(pencil, {0, 1})
-    assert not sch.eigenspace_membership(pencil, {0})
-    assert not sch.eigenspace_membership(pencil, {1})
-    assert not sch.eigenspace_membership(pencil, {0, 2})
+    assert eigenspace_membership(sch, pencil, {0, 1})
+    assert not eigenspace_membership(sch, pencil, {0})
+    assert not eigenspace_membership(sch, pencil, {1})
+    assert not eigenspace_membership(sch, pencil, {0, 2})
 
 
 def test_class_difference_vector_in_Vd():
@@ -94,29 +101,29 @@ def test_class_difference_vector_in_Vd():
         diff[g] -= 1
     lam = -gaussian_binomial(3, 1, 2)
     assert sch.matvec_A1(diff) == [lam * x for x in diff]
-    assert sch.eigenspace_membership(diff, {3})
+    assert eigenspace_membership(sch, diff, {3})
     # the sum of the two class vectors lies in im(A^t) = V_0 + V_1
     summ = [abs(x) for x in diff]
-    assert sch.image_membership(summ, "A")
-    assert sch.eigenspace_membership(summ, {0, 1})
+    assert image_membership(sch, summ, "A")
+    assert eigenspace_membership(sch, summ, {0, 1})
 
 
 def test_image_membership_basics():
     sch = ctx_of("W(3,2)")
     n = sch.n
-    assert sch.image_membership([0] * n, "A")
+    assert image_membership(sch, [0] * n, "A")
     row = [(get_space_by_name("W(3,2)").point_gen_masks()[3] >> g) & 1
            for g in range(n)]
-    assert sch.image_membership(row, "A")
-    assert sch.image_membership([Fraction(1, 3)] * n, "A")  # multiple of j
+    assert image_membership(sch, row, "A")
+    assert image_membership(sch, [Fraction(1, 3)] * n, "A")  # multiple of j
 
 
 def test_latin_class_vector_not_in_image():
     sp = get_space_by_name("Q+(5,2)")
     sch = ctx_of("Q+(5,2)")
     chi = [(sp.class_mask("latin") >> g) & 1 for g in range(sch.n)]
-    assert not sch.image_membership(chi, "A")
-    assert sch.eigenspace_membership(chi, {0, 3})
+    assert not image_membership(sch, chi, "A")
+    assert eigenspace_membership(sch, chi, {0, 3})
 
 
 def test_image_of_AtA_equals_image_of_At():
@@ -144,7 +151,7 @@ def test_rowspace_rank_decomposition():
         bases = sch.eigenspace_bases()
         for k in range(1, sch.d + 1):
             expect = sum(len(bases[j]) for j in range(k + 1))
-            assert sch.rank_of_incidence(k) == expect, (name, k)
+            assert rank_of_incidence(sch, k) == expect, (name, k)
 
 
 def test_eigenspace_dims_match_multiplicities():
@@ -176,7 +183,7 @@ def test_btb_identity_type_III():
         # pencil vectors lie in im(B^t)
         sp = get_space_by_name(name)
         pencil = [(sp.point_gen_masks()[0] >> g) & 1 for g in range(sch.n)]
-        assert sch.image_membership(pencil, "B")
+        assert image_membership(sch, pencil, "B")
 
 
 def test_all_relations_eigenvalue_table():
@@ -204,14 +211,14 @@ def test_restricted_scheme_qplus72():
     assert rs.P[1] == [1, 7, -8]
     assert rs.P[2] == [1, -5, 4]
     ones = [1] * rs.m
-    assert rs.eigenspace_membership(ones, {0})
-    assert not rs.eigenspace_membership(ones, {1})
+    assert eigenspace_membership(rs, ones, {0})
+    assert not eigenspace_membership(rs, ones, {1})
     # class-restricted pencil lies in V'_0 + V'_1
     sp = get_space_by_name("Q+(7,2)")
     pm = sp.point_gen_masks()[0] & sp.class_mask("latin")
     chi = [(pm >> g) & 1 for g in rs.members]
-    assert rs.eigenspace_membership(chi, {0, 1})
-    assert not rs.eigenspace_membership(chi, {0, 2})
+    assert eigenspace_membership(rs, chi, {0, 1})
+    assert not eigenspace_membership(rs, chi, {0, 2})
 
 
 def test_restricted_image_rank():
@@ -222,7 +229,7 @@ def test_restricted_image_rank():
     sp = get_space_by_name("Q+(7,2)")
     pm = sp.point_gen_masks()[0] & sp.class_mask("latin")
     chi = [(pm >> g) & 1 for g in rs.members]
-    assert rs.image_membership(chi)
+    assert class_image_membership(rs, chi)
 
 
 def test_restricted_fallback_separating_combination():
@@ -234,11 +241,11 @@ def test_restricted_fallback_separating_combination():
     sp = get_space_by_name("Q+(7,2)")
     pm = sp.point_gen_masks()[0] & sp.class_mask("greek")
     chi = [(pm >> g) & 1 for g in rs.members]
-    want = rs.eigenspace_membership(chi, {0, 1})
+    want = eigenspace_membership(rs, chi, {0, 1})
     rs._distinct = False
     try:
-        assert rs.eigenspace_membership(chi, {0, 1}) == want
-        assert not rs.eigenspace_membership(chi, {0, 2})
+        assert eigenspace_membership(rs, chi, {0, 1}) == want
+        assert not eigenspace_membership(rs, chi, {0, 2})
     finally:
         rs._distinct = direct
 
@@ -272,7 +279,7 @@ def test_membership_agrees_with_basis_reduction():
                 for j in S:
                     for w in bases[j]:
                         ech.add(w)
-                assert sch.eigenspace_membership(v, S) == ech.contains(v), \
+                assert eigenspace_membership(sch, v, S) == ech.contains(v), \
                     (name, sorted(S))
 
 
@@ -375,3 +382,85 @@ def test_corrupted_bases_raise(monkeypatch, corruption):
 def test_corrupted_bases_raise_under_optimize(run_under_optimize):
     run_under_optimize([f"{__file__}::test_corrupted_bases_raise"],
                        len(BASIS_CORRUPTIONS))
+
+
+# -- relations and B^t B against the pair-loop references ---------------------
+
+DESK_SPACES = ["Q+(5,2)", "Q+(7,2)", "Q(4,2)", "Q(6,2)", "Q-(5,2)", "W(3,2)",
+               "W(3,3)", "W(5,2)", "H(3,4)", "H(4,4)"]
+
+
+@pytest.mark.parametrize("name", DESK_SPACES + ["Q(6,3)", "W(5,3)"])
+def test_relations_match_the_pair_loop(name):
+    sch = ctx_of(name)
+    assert sch.A == reference_relations(sch.space)
+
+
+def test_btb_rows_match_the_pair_loop():
+    for name in ("Q(6,2)", "W(5,2)"):
+        sch = ctx_of(name)
+        assert sch.verify_BtB() is None and reference_btb(sch) is None
+
+
+def test_pair_walks_report_the_first_failing_pair():
+    # move one generator from A_1[7] to A_2[7] and one back, symmetrically:
+    # both walks must name the pair that a walk over a distance table does
+    from polarcl.counting import intersection_numbers
+    params, _ = ctx_of("Q(6,2)").verify_distance_regularity()
+    sch = _fresh("Q(6,2)")
+    A, g = sch.A, 7
+    h1, h2 = (next(_bits(A[i][g] >> 20 << 20)) for i in (1, 2))
+    for x, y, i in ((g, h1, 1), (h1, g, 1), (g, h2, 2), (h2, g, 2)):
+        A[i][x] ^= 1 << y
+        A[3 - i][x] ^= 1 << y
+    _, witness = sch.verify_distance_regularity()
+    assert witness is not None
+    assert witness == reference_regularity_witness(sch, params["b"],
+                                                   params["c"])
+    witness = sch.verify_intersection_numbers()
+    assert witness is not None
+    assert witness == reference_intersection_witness(
+        sch, intersection_numbers(3, 1, 2))
+
+
+def _tampered_b_row():
+    sch = _fresh("Q(6,2)")
+    B = list(sch.build_B())
+    outside = ~B[3] & ((1 << sch.n) - 1)
+    B[3] |= outside & -outside
+    sch._B = B
+    witness = sch.verify_BtB()
+    if witness != reference_btb(sch):
+        raise AssertionError(f"{witness} against {reference_btb(sch)}")
+    if witness is not None:
+        raise VerificationError(f"B^t B fails at {witness}")
+
+
+def _tampered_point_row(monkeypatch):
+    from polarcl.enumeration import PolarSpace
+    sp = get_space_by_name("Q(6,2)")
+    rows = list(sp.point_gen_masks())
+    outside = ~rows[0] & ((1 << sp.n_generators) - 1)
+    rows[0] |= outside & -outside
+    monkeypatch.setattr(PolarSpace, "point_gen_masks", lambda self: rows)
+    _fresh("Q(6,2)")
+
+
+RELATION_CORRUPTIONS = {
+    "b-row": (lambda mp: _tampered_b_row(), r"B\^t B fails at \(0, 0, 0, 9, 8\)"),
+    "point-row": (_tampered_point_row,
+                  r"shares a subspace's point count with \d+ generators, "
+                  r"expected all 135"),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(RELATION_CORRUPTIONS))
+def test_tampered_incidence_fails_the_counts(monkeypatch, corruption):
+    route, message = RELATION_CORRUPTIONS[corruption]
+    with pytest.raises(VerificationError, match=message):
+        route(monkeypatch)
+
+
+def test_tampered_incidence_fails_under_optimize(run_under_optimize):
+    run_under_optimize([f"{__file__}::test_tampered_incidence_fails_the_counts"],
+                       len(RELATION_CORRUPTIONS))

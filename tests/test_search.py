@@ -21,8 +21,10 @@ from polarcl.scheme import _bits
 from polarcl.search import (SearchResult, VerificationError,
                             classify_parameter1, find_cl_bounded,
                             find_cl_parameter1, find_regular_systems,
-                            find_spreads, find_tight_sets, max_disjoint_in,
+                            find_spreads, find_tight_sets,
                             union_of_pencils_decomposition)
+
+from reference import max_disjoint_in
 
 
 def test_spreads_w32():

@@ -183,6 +183,8 @@ def cmd_search(args) -> int:
     t0 = _time.time()
     if args.limit is not None and args.target not in ("spread", "regular"):
         raise ValueError(f"--limit is not supported by search {args.target}")
+    if args.limit is not None and args.limit < 1:
+        raise ValueError(f"--limit must be at least 1, got {args.limit}")
     if args.xmax < 1 and args.target in ("tight", "cl"):
         raise ValueError(f"--xmax must be at least 1, got {args.xmax}")
     space = load_space(args.space)

@@ -97,7 +97,7 @@ class CLContext:
 
     def restricted(self, label: str) -> RestrictedScheme:
         if label not in self._restricted:
-            self._restricted[label] = self.scheme.restricted(label)
+            self._restricted[label] = RestrictedScheme(self.scheme, label)
         return self._restricted[label]
 
     def class_pencil(self) -> int:
@@ -227,12 +227,9 @@ def test_eigenvector(gs: GenSet):
 
 def test_eigenspace(gs: GenSet):
     """Statement (iii): chi in the type-dependent orthogonal sum of V_j."""
-    ctx = gs.ctx
-    if gs.class_label is None:
-        S = eigenspace_indices(ctx.space.desc)
-        return ctx.scheme.set_eigenspace_membership(gs.mask, S), sorted(S)
-    rs = ctx.restricted(gs.class_label)
-    return rs.set_eigenspace_membership(gs.mask, {0, 1}), [0, 1]
+    S = {0, 1} if gs.class_label else eigenspace_indices(gs.ctx.space.desc)
+    T = gs.ctx.scheme.combination(S, gs.class_label)
+    return T.witness(gs.mask) is None, sorted(S)
 
 
 def test_image(gs: GenSet):

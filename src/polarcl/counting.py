@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import isqrt
 
 
@@ -184,11 +185,12 @@ def eigenvalue_disjointness(j: int, d: int, e, q: int) -> int:
 class EigenvalueTable:
     """The full (d+1) x (d+1) table P[j][i] of exact scheme eigenvalues.
 
-    Construction checks that the eigenvalues P_{j,1} of the dual polar
-    graph itself are pairwise distinct, which the annihilator-based
-    eigenspace tests rely on, and that row 0 and column d agree with the
-    degrees and with the disjointness closed form; a mismatch raises
-    CountingError.
+    Construction checks that the P_{j,1} are pairwise distinct (the
+    basis annihilators of `scheme` need it); that row 0 and column d agree
+    with the degrees and the disjointness closed form; and that each row
+    is a character of the algebra of the closed-form intersection numbers,
+    P_{j,i} P_{j,l} = sum_k p^k_{il} P_{j,k}, so the d + 1 distinct rows are
+    all its characters.  A mismatch raises CountingError.
     """
 
     def __init__(self, d: int, e, q: int):
@@ -208,6 +210,13 @@ class EigenvalueTable:
             if self.P[j][d] != want:
                 raise CountingError(f"P_{{{j},{d}}} = {self.P[j][d]}, "
                                     f"expected the closed form {want}")
+        p, span = intersection_numbers(d, e, q), range(d + 1)
+        for (j, row), i, l in product(enumerate(self.P), span, span):
+            want = sum(x * y for x, y in zip(p[i][l], row))
+            if row[i] * row[l] != want:
+                raise CountingError(
+                    f"P_{{{j},{i}}} P_{{{j},{l}}} = {row[i] * row[l]}, expected "
+                    f"sum_k p^k_{{{i},{l}}} P_{{{j},k}} = {want}")
 
     def multiplicity(self, j: int) -> int:
         """dim V_j, by the orthogonality relation m_j = N / sum_i P_ji^2/k_i."""

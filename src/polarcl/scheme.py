@@ -20,23 +20,21 @@ same way: row u, the column sum of the classes through u, must read
 q^{d-i} on A_i[u] for even i and 0 for odd i, and the A_i[u] partition
 Omega, so the rows cover every pair.
 
-Eigenspace membership is decided by annihilator polynomials in A_1: the
-eigenvalues P_{j,1} are pairwise distinct, so each factor (A_1 - P_{j,1} I)
-kills V_j and acts invertibly elsewhere, and v lies in the orthogonal sum
-of the V_j over j in S exactly when the product over S annihilates v.
-Image membership for an incidence matrix M uses im(M^t) = ker_Q(M)^perp:
-a 0/1 vector chi_L lies in im(M^t) iff <z, chi_L> = 0 for every z in a
-basis of ker_Q(M).  `CertifiedKernel` builds that basis once per matrix
-and certifies it; see there.  No floating point anywhere.
+Eigenspace membership: chi lies in the orthogonal sum of the V_j, j in
+S, iff T chi = 0 for T = sum_i beta_i A_i acting as 0 on those V_j and as
+one nonzero scalar on the others (`Combination`).  Image membership for
+an incidence matrix M uses im(M^t) = ker_Q(M)^perp: a 0/1 vector chi_L
+lies in im(M^t) iff <z, chi_L> = 0 for every z in a basis of ker_Q(M).
+`CertifiedKernel` builds that basis once per matrix and certifies it;
+see there.  No floating point anywhere.
 
 Eigenspace bases (`eigenspace_bases`) take three steps, each exact.
 
 - Projection.  The annihilator prod_{l != j} (A_1 - P_{l,1} I) lies in
   the Bose-Mesner algebra, so it equals sum_i alpha_i A_i with integer
-  alpha_i.  They follow from expanding the product with the intersection
-  numbers: multiplying sum_i x_i A_i by A_1 sends the coefficients to
-  x'_k = sum_i x_i p^k_{i1}.  Its column g mod p is the packed row
-  R_g = sum_i (alpha_i mod p) spread(A_i[g]), fields in [0, p).  A 0/1
+  alpha_i, solved for like beta (see `_annihilator`).  Its column g mod p
+  is the packed row R_g = sum_i (alpha_i mod p) spread(A_i[g]), fields in
+  [0, p).  A 0/1
   row r of C_j projects mod p to sum_{g in r} R_g, fields at most
   n (p - 1), and exactly to w_t = sum_i alpha_i |A_i[t] ^ r|, which is
   computed for kept rows only.
@@ -59,12 +57,14 @@ Eigenspace bases (`eigenspace_bases`) take three steps, each exact.
 
 from __future__ import annotations
 
+from math import lcm, prod
+
 from .counting import (EigenvalueTable, intersection_numbers, parameter_b,
                        parameter_c)
 from .enumeration import PolarSpace
 from .geometry import VerificationError
-from .linalg import (PRIME, ModEchelon, _bits, first_non_eigenvector,
-                     kernel_columns, spread)
+from .linalg import (PRIME, ModEchelon, _bits, _primitive,
+                     first_non_eigenvector, kernel_columns, spread)
 
 
 class SchemeError(RuntimeError):
@@ -74,7 +74,72 @@ class SchemeError(RuntimeError):
 KERNEL_PRIMES = (PRIME, 2 ** 61 - 1)  # the second is tried on failure
 
 
-class CertifiedKernel:
+class PackedColumns:
+    """Columns packed in balanced `width`-bit fields: 0/1 sums never carry."""
+
+    def witness(self, mask: int):
+        """None if the columns of the mask's members sum to zero, else the
+        index of the lowest nonzero field: one big-int add per member."""
+        acc = sum([self.cols[g] for g in _bits(mask)])
+        return ((acc & -acc).bit_length() - 1) // self.width if acc else None
+
+
+def _solve(P, c) -> tuple[list[int], int]:
+    """(y, D) with P y = D c, so y / D is the solution over Q, for an
+    invertible P: Gauss-Jordan on integer rows, each step a cross-multiply."""
+    rows = [list(row) + [b] for row, b in zip(P, c)]
+    for k in range(len(rows)):
+        piv = next(r for r in range(k, len(rows)) if rows[r][k])
+        rows[k], rows[piv] = rows[piv], rows[k]
+        top = rows[k]
+        for r, row in enumerate(rows):
+            if r != k:
+                rows[r] = [top[k] * a - row[k] * b for a, b in zip(row, top)]
+    D = lcm(*(row[i] for i, row in enumerate(rows)))
+    return [row[-1] * (D // row[i]) for i, row in enumerate(rows)], D
+
+
+class Combination(PackedColumns):
+    """T = sum_i beta_i A'_i, beta the primitive integer multiple of the x
+    with P x = c, c_j = 0 for j in S and 1 otherwise, P the eigenvalues
+    P'_{j,i} of the relations rows[i] within U = `universe`; `witness(L)`
+    is the first t with (T chi_L)_t != 0.  Column g of T is packed as
+    sum_i beta_i spread(A'_i[g] & U, W), W = bits(sum_i |beta_i| k'_i) + 2
+    rounded up to bytes (k'_i = P'_{0,i}).  Certificate: sum_i beta_i P'_{j,i}
+    is 0 exactly for j in S; the columns sum to (sum_i beta_i k'_i) spread(U)."""
+
+    def __init__(self, S, P, rows, universe: int):
+        self.beta = _primitive(_solve(P, [int(j not in S)
+                                          for j in range(len(P))])[0])
+        peak = sum(abs(b) * k for b, k in zip(self.beta, P[0]))
+        self.width = 8 * -(-(peak.bit_length() + 2) // 8)
+        self.cols = self._columns(rows, universe)
+        if problem := self._problem(P, S, universe):
+            raise VerificationError(f"statement (iii) combination for "
+                                    f"S = {sorted(S)}: {problem}")
+
+    def _columns(self, rows, universe: int) -> list[int]:
+        terms = [(b, r) for b, r in zip(self.beta, rows) if b]
+        return [sum(b * spread(r[g] & universe, self.width) for b, r in terms)
+                if universe >> g & 1 else 0 for g in range(len(rows[0]))]
+
+    def _problem(self, P, S, universe: int):
+        sums = [sum(b * p for b, p in zip(self.beta, row)) for row in P]
+        for j, got in enumerate(sums):
+            if (got == 0) != (j in S):
+                return (f"sum_i beta_i P'_{{{j},i}} = {got}, expected "
+                        f"{'0' if j in S else 'nonzero'}")
+        w, k = self.width, sums[0]  # T 1_U = (sum_i beta_i k'_i) 1_U
+        diff = sum(self.cols) - k * spread(universe, w)
+        if diff:
+            t, half = ((diff & -diff).bit_length() - 1) // w, 1 << w - 1
+            off = ((diff >> w * t) + half) % (2 * half) - half  # balanced
+            return (f"row {t} of T sums to {k + off}, expected "
+                    f"sum_i beta_i k'_i = {k}")
+        return None
+
+
+class CertifiedKernel(PackedColumns):
     """A certified integer basis z_1..z_m of ker_Q(M), M the 0/1 matrix of
     rows `masks` on `columns` (default 0..n-1); cols[g] packs
     (z_1[g], ..., z_m[g]) as `linalg.kernel_columns` does, 0 off `columns`.
@@ -85,6 +150,7 @@ class CertifiedKernel:
     m = n - r_p.  As r_p <= rank_Q(M), m <= n - rank_Q(M) <= n - r_p = m:
     the z_i span ker_Q(M), and `rank` = r_p = rank_Q(M).  A failure
     retries with the next of `KERNEL_PRIMES`, then raises VerificationError.
+    `witness(L)` is the first i with <z_i, chi_L> != 0, if any.
     """
 
     def __init__(self, masks, n: int, columns=None):
@@ -123,12 +189,6 @@ class CertifiedKernel:
                 return f"entry {k} of M z_{self.witness(m)} is nonzero"
         return None
 
-    def witness(self, mask: int):
-        """None if the 0/1 vector of the mask lies in im(M^t), else the
-        first i with <z_i, chi> != 0: one big-int add per member."""
-        acc = sum([self.cols[g] for g in _bits(mask)])
-        return ((acc & -acc).bit_length() - 1) // self.width if acc else None
-
 
 def _compress(masks, columns):
     """Each mask with bit columns[t] moved to bit t, other bits dropped."""
@@ -162,12 +222,11 @@ class SchemeContext:
         self.space = space
         self.d = space.d
         self.n = space.n_generators
-        desc = space.desc
-        self.table = EigenvalueTable(desc.rank, desc.e, desc.q)
+        self.table = EigenvalueTable(space.desc.rank, space.desc.e, space.desc.q)
         self.P = self.table.P
         self.A = self._relations()
         self.K = self.A[self.d]
-        self._neighbors = [list(_bits(m)) for m in self.A[1]]
+        self._combinations = {}
         self._C = {}
         self._B = None
         self._image_bases = {}
@@ -276,17 +335,15 @@ class SchemeContext:
                                   (nb & down[v]).bit_count(), ci)
         return {"b": b[:d], "c": c[1:]}, None
 
-    def verify_intersection_numbers(self, sample=None):
+    def verify_intersection_numbers(self):
         """A_i A_j = sum_k p^k_{ij} A_k, checked entrywise by counting."""
         d, n, span = self.d, self.n, range(self.d + 1)
         p = intersection_numbers(d, self.space.desc.e, self.space.desc.q)
         want = [[p[i][j][k] for i in span for j in span] for k in span]
         rows = list(zip(*self.A))  # rows[g][i] = A_i[g]
-        groups = (((u, range(u, n)) for u in range(n)) if sample is None
-                  else ((u, (v,)) for u, v in sample))
-        for u, vs in groups:
+        for u in range(n):
             row, at_u = self._distance_row(u), rows[u]
-            for v in vs:
+            for v in range(u, n):
                 got = [(a & b).bit_count() for a in at_u for b in rows[v]]
                 if got != want[row[v]]:
                     t = next(t for t, (x, y) in enumerate(zip(got, want[row[v]]))
@@ -295,9 +352,6 @@ class SchemeContext:
         return None
 
     # -- eigenspace machinery ------------------------------------------------
-
-    def matvec_A1(self, v):
-        return [sum(v[j] for j in self._neighbors[i]) for i in range(self.n)]
 
     def matvec_mask(self, masks, v):
         out = []
@@ -308,33 +362,15 @@ class SchemeContext:
             out.append(acc)
         return out
 
-    def annihilate(self, v, js):
-        """Apply prod_{j in js} (A_1 - P_{j,1} I) to v (integer vector)."""
-        for j in js:
-            lam = self.P[j][1]
-            av = self.matvec_A1(v)
-            v = [a - lam * x for a, x in zip(av, v)]
-        return v
-
-    def set_eigenspace_membership(self, mask: int, S) -> bool:
-        """Whether the 0/1 characteristic vector chi of a generator mask L
-        lies in the orthogonal sum of the V_j, j in S: the factor
-        (A_1 - P_{j,1} I) kills the V_j component and scales every other
-        one (the P_{j,1} are pairwise distinct), so the product over S
-        leaves exactly the components outside S.  The first factor is
-        read off the rows: ((A_1 - P_{j,1} I) chi)_i = |A_1[i] ^ L| -
-        P_{j,1} chi_i."""
-        j0, *rest = sorted(S)
-        lam = self.P[j0][1]
-        v = [(row & mask).bit_count() - lam * ((mask >> i) & 1)
-             for i, row in enumerate(self.A[1])]
-        return not any(self.annihilate(v, rest))
-
-    def orthogonal_to(self, v, j) -> bool:
-        """The integer vector v is orthogonal to V_j, i.e. the V_j
-        component of v vanishes."""
-        return not any(self.annihilate(v, [l for l in range(self.d + 1)
-                                           if l != j]))
+    def combination(self, S, label=None) -> Combination:
+        """The cached T of statement (iii) for S, on Omega or class `label`."""
+        key = frozenset(S), label
+        if key not in self._combinations:
+            self._combinations[key] = Combination(key[0], *(
+                (self.P, self.A, (1 << self.n) - 1) if label is None else
+                (RestrictedScheme(self, label).P, self.A[::2],
+                 self.space.class_mask(label))))
+        return self._combinations[key]
 
     # -- image membership ------------------------------------------------------
 
@@ -351,21 +387,14 @@ class SchemeContext:
     # -- eigenspace bases (via the incidence matrices) ---------------------------
 
     def _annihilator(self, j: int) -> list[int]:
-        """alpha with prod_{l != j} (A_1 - P_{l,1} I) = sum_i alpha_i A_i.
-
-        Starts from I = A_0 and multiplies by one factor at a time, using
-        A_1 A_i = sum_k p^k_{i1} A_k from the closed-form intersection
-        numbers.
-        """
-        d, desc = self.d, self.space.desc
-        p = intersection_numbers(d, desc.e, desc.q)
-        alpha = [1] + [0] * d
-        for l in range(d + 1):
-            if l != j:
-                lam = self.P[l][1]
-                alpha = [sum(x * p[i][1][k] for i, x in enumerate(alpha))
-                         - lam * alpha[k] for k in range(d + 1)]
-        return alpha
+        """alpha with prod_{l != j} (A_1 - P_{l,1} I) = sum_i alpha_i A_i;
+        on V_m both act as (P alpha)_m = prod_{l != j} (P_{m,1} - P_{l,1}),
+        0 unless m = j.  alpha is integral; the bases' checks cover it."""
+        col = [row[1] for row in self.P]
+        c = [0] * (self.d + 1)
+        c[j] = prod(col[j] - lam for l, lam in enumerate(col) if l != j)
+        y, D = _solve(self.P, c)
+        return [a // D for a in y]
 
     def _project(self, alpha, mask: int) -> list[int]:
         """(sum_i alpha_i A_i) chi for the 0/1 vector chi of a generator
@@ -436,20 +465,13 @@ class SchemeContext:
         self._eigenbases = bases
         return bases
 
-    # -- restricted scheme on one class of a hyperbolic quadric -----------------
-
-    def restricted(self, label: str) -> "RestrictedScheme":
-        return RestrictedScheme(self, label)
-
 
 class RestrictedScheme:
     """The floor(d/2)-class scheme on one generator class of Q+(2d-1,q).
 
     A'_i is A_{2i} restricted to the class; the eigenvalue of A'_i on the
-    restricted eigenspace V'_j is P_{j,2i}.  Membership tests use the
-    annihilator in A'_1 when the restricted eigenvalues P_{j,2} are
-    pairwise distinct and fall back to a separating integer combination
-    of all the A'_i otherwise.
+    restricted eigenspace V'_j is P'_{j,i} = P_{j,2i}.  Statement (iii)
+    reads `SchemeContext.combination(S, label)`.
     """
 
     def __init__(self, ctx: SchemeContext, label: str):
@@ -458,67 +480,10 @@ class RestrictedScheme:
             raise SchemeError("restricted scheme needs a hyperbolic quadric")
         if sp.d % 2 != 0:
             raise SchemeError("restricted class scheme needs even rank")
-        self.ctx = ctx
-        self.label = label
+        self.ctx, self.label = ctx, label
         self.members = sp.class_members(label)
-        self.m = len(self.members)
-        self.half = sp.d // 2
-        self.A = [_compress([ctx.A[2 * i][g] for g in self.members], self.members)
-                  for i in range(self.half + 1)]
-        self.K = self.A[self.half]
-        self.P = [[ctx.P[j][2 * i] for i in range(self.half + 1)]
-                  for j in range(self.half + 1)]
-        col1 = [row[1] for row in self.P]
-        self._distinct = len(set(col1)) == self.half + 1
-        self._sep = self._separating_combination()
-        self._positions = {}
+        self.P = [row[::2] for row in ctx.P[:sp.d // 2 + 1]]
         self._image_basis_cache = None
-
-    def _separating_combination(self):
-        """Integer weights c with sum_i c_i P'_{j,i} pairwise distinct in j."""
-        for t in range(1, 100):
-            weights = [t ** i for i in range(self.half + 1)]
-            vals = [sum(w * p for w, p in zip(weights, row)) for row in self.P]
-            if len(set(vals)) == self.half + 1:
-                return weights, vals
-        raise SchemeError("no separating combination found")  # unreachable
-
-    def matvec(self, i: int, v):
-        """A'_i v, over position lists of the rows built on first use."""
-        if i not in self._positions:
-            self._positions[i] = [list(_bits(row)) for row in self.A[i]]
-        return [sum(v[t] for t in pos) for pos in self._positions[i]]
-
-    def _combination(self):
-        """(c, vals): T = sum_i c_i A'_i acts as vals[j] on V'_j, and the
-        vals are pairwise distinct.  T = A'_1 when its eigenvalues are."""
-        if self._distinct:
-            return ([int(i == 1) for i in range(self.half + 1)],
-                    [row[1] for row in self.P])
-        return self._sep
-
-    def annihilate(self, v, js):
-        """Apply prod_{j in js} (T - vals[j] I) to v (integer vector)."""
-        weights, vals = self._combination()
-        for j in js:
-            tv = [0] * self.m
-            for i, w in enumerate(weights):
-                if w:
-                    tv = [acc + w * a for acc, a in zip(tv, self.matvec(i, v))]
-            v = [a - vals[j] * x for a, x in zip(tv, v)]
-        return v
-
-    def set_eigenspace_membership(self, mask: int, S) -> bool:
-        """`SchemeContext.set_eigenspace_membership` for a mask L inside
-        the class.  The first factor is read off the full rows:
-        (A'_i chi)_t = |A_{2i}[g_t] ^ L|, with no remapping of L."""
-        weights, vals = self._combination()
-        j0, *rest = sorted(S)
-        A = self.ctx.A
-        v = [sum(w * (A[2 * i][g] & mask).bit_count()
-                 for i, w in enumerate(weights) if w)
-             - vals[j0] * ((mask >> g) & 1) for g in self.members]
-        return not any(self.annihilate(v, rest))
 
     def image_basis(self) -> CertifiedKernel:
         """Certified kernel of A' = points x class generators, indexed by

@@ -220,8 +220,8 @@ def find_regular_systems(space, m: int, eigenspaces=None, budget=None,
     def leaf(mask: int) -> bool:
         gs = GenSet(ctx, mask)
         _certify(is_regular_system(gs, m), f"{m}-regular system")
-        return eigenspaces is None or ctx.scheme.set_eigenspace_membership(
-            mask, set(eigenspaces) | {0})
+        return eigenspaces is None or ctx.scheme.combination(
+            set(eigenspaces) | {0}).witness(mask) is None
 
     rels = [(space.gen_point_masks, space.point_gen_masks(), m)]
     size = regular_system_size(space.d, space.desc.e, space.desc.q, m)

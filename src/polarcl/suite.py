@@ -534,9 +534,11 @@ def criterion_12() -> CriterionResult:
             return CriterionResult(12, "spread facts", False,
                                    f"{name}: no spreads found")
         for s in spreads:
-            w = [ctx.pencil * ((s >> g) & 1) - 1 for g in range(ctx.n)]
+            # w = pencil chi_s - 1: <w, 1> = 0, or chi_s has no V_j part
             for j in (0, 1) + ((extra,) if extra else ()):
-                if not ctx.scheme.orthogonal_to(w, j):
+                if (ctx.pencil * s.bit_count() != ctx.n if j == 0 else
+                        ctx.scheme.combination(set(range(ctx.d + 1)) - {j})
+                        .witness(s) is not None):
                     return CriterionResult(12, "spread facts", False,
                                            f"{name}: spread not orthogonal V_{j}")
             checked += 1

@@ -1,14 +1,16 @@
 """Routes that only the tests call: the pair-loop references for the
-scheme's relations and B^t B, and small checks kept out of the library
-because nothing in it needs them."""
+scheme's relations and B^t B, the list-based annihilators for
+eigenspace membership, and small checks kept out of the library because
+nothing in it needs them."""
 
 from fractions import Fraction
 from math import lcm
 
 import polarcl.counting as counting
 from polarcl.counting import (CountingError, binom2, gaussian_binomial,
-                              qint)
-from polarcl.scheme import CertifiedKernel, SchemeError
+                              intersection_numbers, qint)
+from polarcl.linalg import _bits
+from polarcl.scheme import CertifiedKernel, RestrictedScheme, SchemeError
 
 
 # -- the scheme's pair-loop references ----------------------------------------
@@ -149,11 +151,44 @@ def scale_to_int(vec) -> list[int]:
     return [int(x * mult) for x in vec]
 
 
+def annihilate(scheme, v, js):
+    """Apply prod_{j in js} (A_1 - P_{j,1} I) to the integer vector v with
+    list matvecs: A_1 of a SchemeContext, or A'_1 = A_2 on the class of a
+    RestrictedScheme, v indexed by its members.  Each factor kills V_j and
+    scales the others, as the P_{j,1} are pairwise distinct."""
+    if isinstance(scheme, RestrictedScheme):
+        at = {g: t for t, g in enumerate(scheme.members)}
+        rows = [[at[h] for h in _bits(scheme.ctx.A[2][g])]
+                for g in scheme.members]
+    else:
+        rows = [list(_bits(m)) for m in scheme.A[1]]
+    col = [row[1] for row in scheme.P]
+    if len(set(col)) != len(col):
+        raise SchemeError(f"the eigenvalues {col} are not pairwise distinct")
+    for j in js:
+        v = [sum(v[h] for h in row) - col[j] * x for row, x in zip(rows, v)]
+    return v
+
+
 def eigenspace_membership(scheme, v, S) -> bool:
     """v in the orthogonal sum of the V_j, j in S, for a SchemeContext or
     a RestrictedScheme: the product of the annihilator factors over S
     leaves exactly the components outside S."""
-    return not any(scheme.annihilate(scale_to_int(v), sorted(S)))
+    return not any(annihilate(scheme, scale_to_int(v), sorted(S)))
+
+
+def expanded_annihilator(sch, j: int) -> list[int]:
+    """alpha with prod_{l != j} (A_1 - P_{l,1} I) = sum_i alpha_i A_i,
+    expanded one factor at a time from I = A_0 with
+    A_1 A_i = sum_k p^k_{i1} A_k and the closed-form intersection numbers."""
+    d, desc = sch.d, sch.space.desc
+    p = intersection_numbers(d, desc.e, desc.q)
+    alpha = [1] + [0] * d
+    for l in range(d + 1):
+        if l != j:
+            alpha = [sum(x * p[i][1][k] for i, x in enumerate(alpha))
+                     - sch.P[l][1] * alpha[k] for k in range(d + 1)]
+    return alpha
 
 
 def _kernel_contains(kernel, vec, positions) -> bool:

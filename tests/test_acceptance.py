@@ -57,9 +57,9 @@ def test_criterion_07_rejects_a_non_regular_solution(monkeypatch):
         suite.criterion_7()
 
 
+@pytest.mark.under_optimize("test_criterion_07_rejects_a_non_regular_solution")
 def test_criterion_07_rejects_under_optimize(run_under_optimize):
-    run_under_optimize(
-        [f"{__file__}::test_criterion_07_rejects_a_non_regular_solution"], 1)
+    run_under_optimize(1)
 
 
 def test_criterion_08_parameter1_classification():

@@ -314,10 +314,10 @@ def _directory_as_space(tmp_path):
              str(tmp_path / "set.txt")], "Is a directory")
 
 
-def _search_arg(target, flag, value, message):
+def _search_arg(target, flag, value, message, *extra):
     def case(tmp_path):
         return (["search", target, "--space", str(_w32_file(tmp_path)), flag,
-                 value, "--out", str(tmp_path / "res.json")], message)
+                 value, *extra, "--out", str(tmp_path / "res.json")], message)
     return case
 
 
@@ -332,6 +332,13 @@ BAD_INPUTS = {
     "tight-xmax-zero": _search_arg("tight", "--xmax", "0", "--xmax must be at least 1"),
     "negative-budget": _search_arg("spread", "--budget", "-5",
                                    "a node budget must be at least 1, got -5"),
+    "spread-limit-zero": _search_arg("spread", "--limit", "0",
+                                     "--limit must be at least 1, got 0"),
+    "spread-limit-negative": _search_arg("spread", "--limit", "-1",
+                                         "--limit must be at least 1, got -1"),
+    "regular-limit-zero": _search_arg("regular", "--limit", "0",
+                                      "--limit must be at least 1, got 0",
+                                      "--m", "1", "--eigenspaces", "0,2"),
 }
 
 

@@ -237,6 +237,14 @@ def _wrong_degree(mp):
     return EigenvalueTable(2, 1, 2)
 
 
+def _wrong_column_two(mp):
+    # P_{1,2} of Q+(7,2) lies outside column 1, row 0 and column d = 4
+    orig = eigenvalue
+    _patched(mp, "eigenvalue",
+             lambda j, i, d, e, q: orig(j, i, d, e, q) + ((j, i) == (1, 2)))
+    return EigenvalueTable(4, 0, 2)
+
+
 def _wrong_generator_count(mp):
     table = EigenvalueTable(2, 1, 2)
     _patched(mp, "num_generators", lambda d, e, q: 16)  # W(3,2) has 15
@@ -259,6 +267,7 @@ COUNT_CHECKS = {
     "degree-division": _wrong_degree_division,
     "table-degrees": _wrong_degree,
     "table-disjointness": _wrong_disjointness,
+    "table-column-2": _wrong_column_two,
     "multiplicity": _wrong_generator_count,
     "min-eigenvalue-spaces": _min_value_everywhere,
     "intersection-numbers": _wrong_c,
@@ -271,6 +280,15 @@ def test_count_checks_raise(monkeypatch, route):
         COUNT_CHECKS[route](monkeypatch)
 
 
+def test_character_check_names_the_entry(monkeypatch):
+    # P_{1,1}^2 = 36, while k_1 + a_1 P_{1,1} + c_2 P_{1,2} reads c_2 = 3
+    # more than that once P_{1,2} is one off
+    with pytest.raises(CountingError, match=(
+            r"P_\{1,1\} P_\{1,1\} = 36, expected "
+            r"sum_k p\^k_\{1,1\} P_\{1,k\} = 39")):
+        _wrong_column_two(monkeypatch)
+
+
+@pytest.mark.under_optimize("test_count_checks_raise")
 def test_count_checks_raise_under_optimize(run_under_optimize):
-    run_under_optimize([f"{__file__}::test_count_checks_raise"],
-                       len(COUNT_CHECKS))
+    run_under_optimize(len(COUNT_CHECKS))

@@ -305,11 +305,11 @@ def test_unbalanced_hyperbolic_section_raises(monkeypatch):
         sp.hyperbolic_classes()
 
 
+@pytest.mark.under_optimize("test_generator_count_mismatch_raises",
+                            "test_intransitive_class_relation_raises",
+                            "test_unbalanced_hyperbolic_section_raises")
 def test_enumeration_checks_raise_under_optimize(run_under_optimize):
-    run_under_optimize(
-        [f"{__file__}::test_generator_count_mismatch_raises",
-         f"{__file__}::test_intransitive_class_relation_raises",
-         f"{__file__}::test_unbalanced_hyperbolic_section_raises"], 3)
+    run_under_optimize(3)
 
 
 def test_get_space_caches():
@@ -334,9 +334,9 @@ def test_nucleus_map_with_two_images_swapped_raises():
         certify_isometry(q6, w5, mapping[:-1])
 
 
+@pytest.mark.under_optimize("test_nucleus_map_with_two_images_swapped_raises")
 def test_nucleus_map_certificate_runs_under_optimize(run_under_optimize):
-    run_under_optimize(
-        [f"{__file__}::test_nucleus_map_with_two_images_swapped_raises"], 1)
+    run_under_optimize(1)
 
 
 def test_nucleus_map_transports_cl_verdicts():

@@ -164,6 +164,19 @@ def _entry_off_by_one(monkeypatch):
     _q62_B_kernel()
 
 
+def _entry_off_past_row_0(monkeypatch):
+    # z_0 one off at a pivot column that row 0 of B misses: row 0 still
+    # passes, and the first row through that column, row 1, fails
+    B = get_context(get_space_by_name("Q(6,2)")).scheme.build_B()
+
+    def corrupt(ech):
+        width, cols = kernel_columns(ech)
+        cols[next(c for c in ech.pivots if not B[0] >> c & 1)] += 1
+        return width, cols
+    monkeypatch.setattr(scheme, "kernel_columns", corrupt)
+    _q62_B_kernel()
+
+
 def _free_entry_zeroed(monkeypatch):
     def corrupt(ech):
         width, cols = kernel_columns(ech)
@@ -187,6 +200,10 @@ KERNEL_TAMPERS = {
     "entry-off-by-one": (_entry_off_by_one,
                          rf"p = {PRIME}: entry \d+ of M z_0 is nonzero; "
                          rf"p = {2 ** 61 - 1}: entry \d+ of M z_0 is nonzero"),
+    "entry-off-past-row-0": (_entry_off_past_row_0,
+                             rf"p = {PRIME}: entry 1 of M z_0 is nonzero; "
+                             rf"p = {2 ** 61 - 1}: entry 1 of M z_0 is "
+                             r"nonzero"),
     "free-entry-zeroed": (_free_entry_zeroed,
                           r"83 vectors are nonzero at their free column alone, "
                           r"expected n - r_p = 84"),
@@ -206,9 +223,9 @@ def test_tampered_kernel_raises(monkeypatch, tamper):
         route(monkeypatch)
 
 
+@pytest.mark.under_optimize("test_tampered_kernel_raises")
 def test_tampered_kernel_raises_under_optimize(run_under_optimize):
-    run_under_optimize([f"{__file__}::test_tampered_kernel_raises"],
-                       len(KERNEL_TAMPERS))
+    run_under_optimize(len(KERNEL_TAMPERS))
 
 
 def test_failed_prime_retries_with_the_next(monkeypatch):

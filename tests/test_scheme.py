@@ -9,9 +9,10 @@ from polarcl.counting import gaussian_binomial
 from polarcl.enumeration import get_space_by_name
 from polarcl.geometry import VerificationError
 from polarcl.linalg import _bits
-from polarcl.scheme import SchemeError
+from polarcl.scheme import RestrictedScheme, SchemeError
 
-from reference import (class_image_membership, eigenspace_membership,
+from reference import (annihilate, class_image_membership,
+                       eigenspace_membership, expanded_annihilator,
                        image_membership, rank_of_incidence, reference_btb,
                        reference_intersection_witness,
                        reference_regularity_witness, reference_relations)
@@ -40,14 +41,8 @@ def test_distance_regularity_verification():
 
 
 def test_intersection_numbers_exhaustive_small():
-    for name in ("W(3,2)", "Q+(5,2)", "Q(6,2)"):
+    for name in ("W(3,2)", "Q+(5,2)", "Q(6,2)", "Q+(7,2)"):
         assert ctx_of(name).verify_intersection_numbers() is None
-
-
-def test_intersection_numbers_sampled_qplus72():
-    sch = ctx_of("Q+(7,2)")
-    pairs = [(u, v) for u in range(0, 270, 45) for v in range(0, 270, 31)]
-    assert sch.verify_intersection_numbers(sample=pairs) is None
 
 
 def test_incidence_row_sums():
@@ -100,7 +95,7 @@ def test_class_difference_vector_in_Vd():
     for g in two:
         diff[g] -= 1
     lam = -gaussian_binomial(3, 1, 2)
-    assert sch.matvec_A1(diff) == [lam * x for x in diff]
+    assert sch.matvec_mask(sch.A[1], diff) == [lam * x for x in diff]
     assert eigenspace_membership(sch, diff, {3})
     # the sum of the two class vectors lies in im(A^t) = V_0 + V_1
     summ = [abs(x) for x in diff]
@@ -201,30 +196,35 @@ def test_all_relations_eigenvalue_table():
 
 def test_restricted_scheme_qplus72():
     sch = ctx_of("Q+(7,2)")
-    rs = sch.restricted("latin")
-    assert rs.m == 135
-    for t in range(rs.m):
-        assert rs.A[0][t] == 1 << t
-    assert {m.bit_count() for m in rs.A[1]} == {70}   # degree k_2
-    assert {m.bit_count() for m in rs.A[2]} == {64}   # disjointness degree
+    rs = RestrictedScheme(sch, "latin")
+    sp = get_space_by_name("Q+(7,2)")
+    cm = sp.class_mask("latin")
+    assert len(rs.members) == 135
+    for i, degree in ((1, 70), (2, 64)):  # k_2 and the disjointness degree
+        # A'_i = A_{2i}: generators at even distance share the class
+        assert all(sch.A[2 * i][g] & ~cm == 0 for g in rs.members)
+        assert {sch.A[2 * i][g].bit_count() for g in rs.members} == {degree}
     assert rs.P[0] == [1, 70, 64]
     assert rs.P[1] == [1, 7, -8]
     assert rs.P[2] == [1, -5, 4]
-    ones = [1] * rs.m
+    ones = [1] * len(rs.members)
     assert eigenspace_membership(rs, ones, {0})
     assert not eigenspace_membership(rs, ones, {1})
+    assert sch.combination({0}, "latin").witness(cm) is None
+    assert sch.combination({1}, "latin").witness(cm) == rs.members[0]
     # class-restricted pencil lies in V'_0 + V'_1
-    sp = get_space_by_name("Q+(7,2)")
-    pm = sp.point_gen_masks()[0] & sp.class_mask("latin")
+    pm = sp.point_gen_masks()[0] & cm
     chi = [(pm >> g) & 1 for g in rs.members]
     assert eigenspace_membership(rs, chi, {0, 1})
     assert not eigenspace_membership(rs, chi, {0, 2})
+    assert sch.combination({0, 1}, "latin").witness(pm) is None
+    assert sch.combination({0, 2}, "latin").witness(pm) is not None
 
 
 def test_restricted_image_rank():
     # im(A'^t) = V'_0 + V'_1: rank is 1 + dim V'_1 = 51 on a class of Q+(7,2)
     sch = ctx_of("Q+(7,2)")
-    rs = sch.restricted("latin")
+    rs = RestrictedScheme(sch, "latin")
     assert rs.image_basis().rank == 51
     sp = get_space_by_name("Q+(7,2)")
     pm = sp.point_gen_masks()[0] & sp.class_mask("latin")
@@ -232,27 +232,9 @@ def test_restricted_image_rank():
     assert class_image_membership(rs, chi)
 
 
-def test_restricted_fallback_separating_combination():
-    sch = ctx_of("Q+(7,2)")
-    rs = sch.restricted("greek")
-    # force the joint-annihilator path and compare against the direct one
-    direct = rs._distinct
-    assert direct  # at q=2 the restricted eigenvalues are distinct
-    sp = get_space_by_name("Q+(7,2)")
-    pm = sp.point_gen_masks()[0] & sp.class_mask("greek")
-    chi = [(pm >> g) & 1 for g in rs.members]
-    want = eigenspace_membership(rs, chi, {0, 1})
-    rs._distinct = False
-    try:
-        assert eigenspace_membership(rs, chi, {0, 1}) == want
-        assert not eigenspace_membership(rs, chi, {0, 2})
-    finally:
-        rs._distinct = direct
-
-
 def test_restricted_needs_even_rank():
     with pytest.raises(SchemeError):
-        ctx_of("Q+(5,2)").restricted("latin")
+        RestrictedScheme(ctx_of("Q+(5,2)"), "latin")
 
 
 def test_membership_agrees_with_basis_reduction():
@@ -283,6 +265,107 @@ def test_membership_agrees_with_basis_reduction():
                     (name, sorted(S))
 
 
+# -- the combination T of statement (iii) against the list annihilators ------
+
+
+def _sets_within(sp, universe, rng):
+    """Pencils, their complements and near-misses, and random sets, all
+    inside the universe mask."""
+    members, rows = list(_bits(universe)), sp.point_gen_masks()
+    masks = [0, universe]
+    for p in rng.sample(range(len(sp.points)), 3):
+        pencil = rows[p] & universe
+        masks += [pencil, universe & ~pencil,
+                  pencil ^ 1 << rng.choice(members)]
+    for _ in range(4):
+        size = rng.randrange(len(members) + 1)
+        masks.append(sum(1 << g for g in rng.sample(members, size)))
+    return masks
+
+
+@pytest.mark.parametrize("name, label", [
+    ("W(3,2)", None), ("Q+(5,2)", None), ("Q-(5,2)", None), ("Q(6,2)", None),
+    ("H(3,4)", None), ("Q+(7,2)", "latin"), ("Q+(7,2)", "greek")])
+def test_combination_matches_the_annihilators(name, label):
+    # for every index set S: witness None exactly when the list
+    # annihilators kill chi, else the first t with (T chi)_t != 0, read
+    # off list popcounts
+    from itertools import combinations
+    import random
+    sch = ctx_of(name)
+    rs = label and RestrictedScheme(sch, label)
+    universe = sch.space.class_mask(label) if label else (1 << sch.n) - 1
+    positions = rs.members if rs else range(sch.n)
+    rows = sch.A[::2] if label else sch.A
+    k = len(rs.P if rs else sch.P)
+    masks = _sets_within(sch.space, universe, random.Random(name + str(label)))
+    for S in (set(c) for r in range(1, k + 1) for c in combinations(range(k), r)):
+        T = sch.combination(S, label)
+        for mask in masks:
+            chi = [(mask >> g) & 1 for g in positions]
+            want = next((t for t in range(sch.n) if sum(
+                b * (r[t] & mask).bit_count() for b, r in zip(T.beta, rows))),
+                None)
+            assert T.witness(mask) == want, (sorted(S), mask)
+            assert (want is None) == eigenspace_membership(rs or sch, chi, S)
+
+
+def test_combination_weights():
+    # beta is primitive, kills exactly the V_j with j in S, and is 0 when S
+    # holds every index, so then every set passes
+    for name, S, label, beta in (
+            ("Q(6,2)", {0, 1, 3}, None, [112, -8, -8, 7]),
+            ("W(5,2)", {0, 1, 3}, None, [112, -8, -8, 7]),
+            ("Q(6,3)", {0, 1, 3}, None, [1053, -27, -27, 13]),
+            ("Q+(7,2)", {0, 1}, "latin", [112, -8, 7]),
+            ("Q+(5,2)", {0, 1, 2, 3}, None, [0, 0, 0, 0])):
+        assert ctx_of(name).combination(S, label).beta == beta, name
+    T = ctx_of("Q+(5,2)").combination(range(4))
+    assert T.witness((1 << 30) - 1) is None and T.witness(0b1011) is None
+
+
+def _beta_entry_off(monkeypatch):
+    import polarcl.scheme as scheme
+    primitive = scheme._primitive
+    monkeypatch.setattr(scheme, "_primitive", lambda v: [
+        b + (i == 0) for i, b in enumerate(primitive(v))])
+    _fresh("Q(6,2)").combination({0, 1, 3})
+
+
+def _column_field_off(monkeypatch):
+    from polarcl.scheme import Combination
+    columns = Combination._columns
+
+    def corrupt(self, rows, universe):
+        cols = columns(self, rows, universe)
+        cols[9] += 1 << self.width * 4  # T_{4,9}
+        return cols
+    monkeypatch.setattr(Combination, "_columns", corrupt)
+    _fresh("Q(6,2)").combination({0, 1, 3})
+
+
+COMBINATION_TAMPERS = {
+    "beta-entry-off": (_beta_entry_off,
+                       r"S = \[0, 1, 3\]: sum_i beta_i P'_\{0,i\} = 1, "
+                       r"expected 0"),
+    "column-field-off": (_column_field_off,
+                         r"row 4 of T sums to 1, expected sum_i beta_i "
+                         r"k'_i = 0"),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(COMBINATION_TAMPERS))
+def test_tampered_combination_raises(monkeypatch, tamper):
+    route, message = COMBINATION_TAMPERS[tamper]
+    with pytest.raises(VerificationError, match=message):
+        route(monkeypatch)
+
+
+@pytest.mark.under_optimize("test_tampered_combination_raises")
+def test_tampered_combination_raises_under_optimize(run_under_optimize):
+    run_under_optimize(len(COMBINATION_TAMPERS))
+
+
 # -- eigenspace bases: reference construction and corruption -------------------
 
 DESK_UP_TO_135 = ["Q+(5,2)", "Q(4,2)", "Q(6,2)", "Q-(5,2)", "W(3,2)",
@@ -300,7 +383,7 @@ def reference_eigenspace_bases(sch):
         ech = IntEchelon(n)
         basis = []
         for m in sch.incidence(j):
-            w = sch.annihilate([(m >> t) & 1 for t in range(n)], others)
+            w = annihilate(sch, [(m >> t) & 1 for t in range(n)], others)
             if any(w) and ech.add(w):
                 basis.append(w)
             if ech.rank == sch.table.multiplicity(j):
@@ -323,7 +406,17 @@ def test_annihilator_expansion_matches_matvecs():
             others = [l for l in range(sch.d + 1) if l != j]
             for m in sch.incidence(max(j, 1))[:3]:
                 row = [(m >> t) & 1 for t in range(sch.n)]
-                assert sch._project(alpha, m) == sch.annihilate(row, others)
+                assert sch._project(alpha, m) == annihilate(sch, row, others)
+
+
+@pytest.mark.parametrize("name", DESK_UP_TO_135 + ["Q+(7,2)", "H(4,4)",
+                                                   "Q(6,3)", "W(5,3)"])
+def test_annihilator_solve_matches_the_expansion(name):
+    # P alpha = prod_{l != j} (P_{j,1} - P_{l,1}) e_j, solved exactly, gives
+    # the coefficients of the product expanded with the intersection numbers
+    sch = ctx_of(name)
+    for j in range(sch.d + 1):
+        assert sch._annihilator(j) == expanded_annihilator(sch, j), j
 
 
 def _fresh(name):
@@ -379,9 +472,9 @@ def test_corrupted_bases_raise(monkeypatch, corruption):
         route(monkeypatch)
 
 
+@pytest.mark.under_optimize("test_corrupted_bases_raise")
 def test_corrupted_bases_raise_under_optimize(run_under_optimize):
-    run_under_optimize([f"{__file__}::test_corrupted_bases_raise"],
-                       len(BASIS_CORRUPTIONS))
+    run_under_optimize(len(BASIS_CORRUPTIONS))
 
 
 # -- relations and B^t B against the pair-loop references ---------------------
@@ -461,6 +554,6 @@ def test_tampered_incidence_fails_the_counts(monkeypatch, corruption):
         route(monkeypatch)
 
 
+@pytest.mark.under_optimize("test_tampered_incidence_fails_the_counts")
 def test_tampered_incidence_fails_under_optimize(run_under_optimize):
-    run_under_optimize([f"{__file__}::test_tampered_incidence_fails_the_counts"],
-                       len(RELATION_CORRUPTIONS))
+    run_under_optimize(len(RELATION_CORRUPTIONS))

@@ -24,7 +24,7 @@ from polarcl.search import (SearchResult, VerificationError,
                             find_spreads, find_tight_sets,
                             union_of_pencils_decomposition)
 
-from reference import max_disjoint_in
+from reference import eigenspace_membership, max_disjoint_in
 
 
 def test_spreads_w32():
@@ -258,7 +258,7 @@ def test_spread_counts_through_disjoint_tuples_are_constant():
 def test_spread_attains_clique_bound():
     # spreads are cliques of the disjointness relation attaining
     # 1 - k/lambda for lambda = P_{1,d}; equality forces the shifted
-    # vector orthogonal to V_1 (checked via the annihilator)
+    # vector orthogonal to V_1 (checked with the list annihilators)
     from fractions import Fraction
     for name in ("W(3,2)", "Q-(5,2)"):
         sp = get_space_by_name(name)
@@ -269,7 +269,8 @@ def test_spread_attains_clique_bound():
         for m in find_spreads(sp).solutions[:25]:
             assert m.bit_count() == bound
             w = [ctx.pencil * ((m >> g) & 1) - 1 for g in range(ctx.n)]
-            assert ctx.scheme.orthogonal_to(w, 1)
+            assert eigenspace_membership(ctx.scheme, w,
+                                         set(range(ctx.d + 1)) - {1})
 
 
 def test_cl_parameter1_certificates_are_reverified():
@@ -558,29 +559,9 @@ def test_failed_certificate_raises(monkeypatch, patches, call):
         call()
 
 
-def test_failed_certificate_raises_under_optimize():
-    code = """
-import polarcl.search as s
-from polarcl.enumeration import get_space_by_name
-from polarcl.gq import GQ
-if __debug__:
-    raise SystemExit("not running under -O")
-s.is_regular_system = lambda gs, m: False
-s.tight_set_test = lambda gq, mask: (False, None, "patched")
-for call in (lambda: s.find_regular_systems(get_space_by_name("W(3,2)"), 1),
-             lambda: s.find_tight_sets(
-                 GQ.from_polar(get_space_by_name("W(3,2)")), 1)):
-    try:
-        call()
-    except s.VerificationError:
-        continue
-    raise SystemExit("no VerificationError")
-"""
-    src = os.path.dirname(os.path.dirname(polarcl.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+@pytest.mark.under_optimize("test_failed_certificate_raises")
+def test_failed_certificate_raises_under_optimize(run_under_optimize):
+    run_under_optimize(4)
 
 
 def test_one_verification_error_class():

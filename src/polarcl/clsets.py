@@ -25,9 +25,12 @@ happens inside the class.
 
 Everything below is exact; every test reports a witness on failure.
 (i) and (ii) count the bits of the same rows of K, so they are two
-closed forms over one product, not independent routes; (iii), the image
-test and (iv) are the independent ones.  Statements (i)-(iii) work on
-the set's bitmask directly.
+closed forms over one product, not independent routes.  The image test
+reads statement (iii)'s packed combination, so their agreement is the
+identity S_M = S that `scheme.Image` certifies, not a second
+computation; the incidence certificates of `scheme.Image` tie the image
+verdicts to M itself.  (iii) and (iv) are the independent routes.
+Statements (i)-(iii) work on the set's bitmask directly.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .counting import binom2, gaussian_binomial, pencil_size, qint, qpow
 from .enumeration import PolarSpace
 from .geometry import GeometryError, VerificationError
 from .linalg import spread
-from .scheme import RestrictedScheme, SchemeContext, _bits
+from .scheme import RestrictedScheme, SchemeContext, _bits, eigenspace_indices
 
 
 def space_type(desc) -> str:
@@ -61,16 +64,6 @@ def space_type(desc) -> str:
     if d % 2 == 0:
         return "I"
     return "III" if desc.q % 2 == 0 else "IV"
-
-
-def eigenspace_indices(desc) -> set[int]:
-    """The index set S of statement (iii) for full generator sets."""
-    d, e = desc.rank, Fraction(desc.e)
-    if d % 2 == 0 and e == 0:
-        return {0, 1, d - 1}
-    if d % 2 == 1 and e == 1:
-        return {0, 1, d}
-    return {0, 1}
 
 
 class CLContext:
@@ -197,7 +190,10 @@ def _universe(gs: GenSet):
 def test_disjointness_counts(gs: GenSet):
     """Statement (i): exact disjointness counts against every generator."""
     positions, _, factor = _universe(gs)
-    expect = (gs.x * factor, (gs.x - 1) * factor)  # indexed by chi_pi
+    x = gs.x * factor
+    if x.denominator != 1:  # no popcount matches: the first position fails
+        return False, positions[0]
+    expect = (x.numerator, x.numerator - factor)  # indexed by chi_pi
     K, mask = gs.ctx.scheme.K, gs.mask
     for pi in positions:
         if (K[pi] & mask).bit_count() != expect[(mask >> pi) & 1]:
@@ -232,8 +228,8 @@ def test_eigenspace(gs: GenSet):
     return T.witness(gs.mask) is None, sorted(S)
 
 
-def test_image(gs: GenSet):
-    """The type-dispatched image-membership statement.
+def image_parts(gs: GenSet):
+    """The image test's matrix and its (Image, mask) parts.
 
     Type I uses the point-generator incidence, type III the hyperbolic
     class incidence, class sets the class-restricted point incidence.  A
@@ -242,23 +238,28 @@ def test_image(gs: GenSet):
     the two restrictions in im(A'^t) alone does not force equal
     parameters (the characteristic vector of one whole class is the
     witness), and without equality the set is not Cameron-Liebler.
-    Type IV has no image characterisation: returns None.
+    Type IV has no image characterisation: no parts.
     """
     ctx = gs.ctx
     if gs.class_label is not None:
-        kernel = ctx.restricted(gs.class_label).image_basis()
-        return kernel.witness(gs.mask) is None, "A'"
-    if ctx.type in ("I", "III"):
-        which = "A" if ctx.type == "I" else "B"
-        return ctx.scheme.image_basis(which).witness(gs.mask) is None, which
+        return "A'", [(ctx.restricted(gs.class_label).image_basis(), gs.mask)]
     if ctx.type == "II":
-        parts = [GenSet(ctx, gs.mask & ctx.space.class_mask(label), label)
-                 for label in ("latin", "greek")]
-        ok = parts[0].x == parts[1].x and all(
-            ctx.restricted(p.class_label).image_basis().witness(p.mask) is None
-            for p in parts)
-        return ok, "A' (both classes, equal parameter)"
-    return None, None  # type IV: open
+        return "A' (both classes, equal parameter)", [
+            (ctx.restricted(lab).image_basis(), gs.mask & ctx.space.class_mask(lab))
+            for lab in ("latin", "greek")]
+    if ctx.type == "IV":
+        return None, []
+    which = "A" if ctx.type == "I" else "B"
+    return which, [(ctx.scheme.image_basis(which), gs.mask)]
+
+
+def test_image(gs: GenSet):
+    """The type-dispatched image statement (`image_parts`); None on type IV."""
+    which, parts = image_parts(gs)
+    if which is None:
+        return None, None  # type IV: open
+    same_x = len({m.bit_count() for _, m in parts}) == 1  # class parameters
+    return same_x and all(image.witness(m) is None for image, m in parts), which
 
 
 def test_spread_intersections(gs: GenSet, spreads):

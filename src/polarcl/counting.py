@@ -219,11 +219,15 @@ class EigenvalueTable:
                     f"sum_k p^k_{{{i},{l}}} P_{{{j},k}} = {want}")
 
     def multiplicity(self, j: int) -> int:
-        """dim V_j, by the orthogonality relation m_j = N / sum_i P_ji^2/k_i."""
-        n = num_generators(self.d, self.e, self.q)
-        s = sum(Fraction(self.P[j][i] ** 2, degree_k(self.d, self.e, self.q, i))
-                for i in range(self.d + 1))
-        return _integral(Fraction(n) / s, f"multiplicity m_{j}")
+        """dim V_j, with N the closed-form generator count."""
+        return multiplicity(self.P, j, num_generators(self.d, self.e, self.q))
+
+
+def multiplicity(P, j: int, n: int) -> int:
+    """dim V_j of a scheme on n elements with eigenvalue table P, by the
+    orthogonality relation m_j = n / sum_i P_ji^2 / k_i, k_i = P_0i."""
+    s = sum(Fraction(x * x, k) for x, k in zip(P[j], P[0]))
+    return _integral(Fraction(n) / s, f"multiplicity m_{j}")
 
 
 def kms_disjoint_to_two(desc, v: int) -> int:

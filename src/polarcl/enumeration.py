@@ -205,6 +205,8 @@ class PolarSpace:
         Generator 0 anchors "latin".  Equivalent to dim(pi ^ pi') having
         the parity of dim pi, the class relation of hyperbolic quadrics.
         Transitivity of the relation is spot-checked on a triple sample.
+        Each class's members and mask are kept for `class_members` and
+        `class_mask`.
         """
         labels = ["latin" if self.distance(0, g) % 2 == 0 else "greek"
                   for g in range(self.n_generators)]
@@ -221,18 +223,22 @@ class PolarSpace:
                             f"class relation of {self.desc.name()} is not transitive: "
                             f"generators {a}, {c} at distance {self.distance(a, c)}, "
                             f"expected even through {b}")
+        self._classes = {}
+        for label in ("latin", "greek"):
+            members = [g for g, lab in enumerate(labels) if lab == label]
+            self._classes[label] = members, sum(1 << g for g in members)
         return labels
 
-    def class_members(self, label: str):
+    def _class(self, label: str):
         if self.class_labels is None:
             raise GeometryError(f"{self.desc.name()} has no generator classes")
-        return [g for g, lab in enumerate(self.class_labels) if lab == label]
+        return self._classes.get(label, ([], 0))
+
+    def class_members(self, label: str) -> list[int]:
+        return self._class(label)[0]
 
     def class_mask(self, label: str) -> int:
-        m = 0
-        for g in self.class_members(label):
-            m |= 1 << g
-        return m
+        return self._class(label)[1]
 
     # -- hyperbolic classes (parabolic quadrics of odd rank) --------------------
 

@@ -13,12 +13,8 @@ otherwise (P^perp includes P).  An i-tight set has exactly i(s+1) points.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cached_property
-
 from .enumeration import PolarSpace
-from .linalg import IntEchelon
-from .scheme import CertifiedKernel, _bits
+from .linalg import _bits
 
 
 class GQError(ValueError):
@@ -82,11 +78,6 @@ class GQ:
         expect_lns = (self.t + 1) * (self.s * self.t + 1)
         if self.n_points != expect_pts or self.n_lines != expect_lns:
             raise GQError("point/line totals do not match the order")
-
-    @cached_property
-    def kernel(self) -> CertifiedKernel:
-        """The certified kernel of the point-line incidence matrix."""
-        return CertifiedKernel(self.point_lines, self.n_lines)
 
     @property
     def order(self) -> tuple[int, int]:
@@ -173,40 +164,3 @@ def classify_tight_set(gq: GQ, point_mask: int, i: int):
         if ok and part:
             return "subquadrangle"
     return "other"
-
-
-# -- Cameron-Liebler line sets ----------------------------------------------------
-
-
-def gq_cl_report(gq: GQ, line_mask: int) -> dict:
-    """All five line-set characterisations, evaluated independently.
-
-    (i) chi in im(A^t); (ii) chi orthogonal to ker(A); (iii) disjointness
-    counts (x - chi_l) t; (iv) meeting counts x + chi_l (t - 1); (v) the
-    disjointness-matrix eigenvector condition for the eigenvalue -t.
-    A is the point-line incidence matrix.  (i) runs fraction-free
-    elimination on each call; (ii) reads the GQ's certified kernel.
-    """
-    x = Fraction(line_mask.bit_count(), gq.t + 1)
-    chi = [(line_mask >> li) & 1 for li in range(gq.n_lines)]
-    # (i) image membership
-    ech = IntEchelon(gq.n_lines)
-    for p in range(gq.n_points):
-        ech.add([(gq.point_lines[p] >> li) & 1 for li in range(gq.n_lines)])
-    v_i = ech.contains(chi)
-    # (ii) orthogonality to the kernel of A
-    v_ii = gq.kernel.witness(line_mask) is None
-    # (iii) disjointness counts and (iv) meeting counts
-    v_iii = all((gq.line_disjoint[li] & line_mask).bit_count()
-                == (x - chi[li]) * gq.t for li in range(gq.n_lines))
-    v_iv = all((gq.line_meets[li] & line_mask).bit_count()
-               == x + chi[li] * (gq.t - 1) for li in range(gq.n_lines))
-    # (v) eigenvector of the disjointness matrix for -t, scaled by
-    # n = (t+1)(st+1): w = n (chi - x/(st+1) j)
-    w = [gq.n_lines * c - line_mask.bit_count() for c in chi]
-    v_v = all(sum(w[j] for j in _bits(gq.line_disjoint[li])) == -gq.t * w[li]
-              for li in range(gq.n_lines))
-    consistent = v_i == v_ii == v_iii == v_iv == v_v
-    return {"x": x, "im_At": v_i, "ker_perp": v_ii, "disjoint_counts": v_iii,
-            "meet_counts": v_iv, "eigenvector": v_v, "consistent": consistent,
-            "is_cl": v_iii}

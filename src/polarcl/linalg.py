@@ -6,12 +6,14 @@ GF(q) elimination gives the reduced row-echelon form that makes subspace
 representations canonical.
 
 `IntEchelon` does fraction-free elimination over the integers (rows kept
-primitive by gcd division): the independent route for image membership
-in the GQ statement (i), and the tests' reference.
+primitive by gcd division).  No verdict uses it: image membership is a
+Bose-Mesner combination (`scheme`).  It stays as the tests' exact
+reference for ranks and memberships, and perfbench times its `add` and
+`contains` by name.
 
 Packed rows.  A vector of n entries is one Python int whose field t, the
 bits [B t, B t + B), holds entry t; a row operation is then one small-int
-multiply and one add on a big int.  Three kernels use this layout.
+multiply and one add on a big int.  Two kernels use this layout.
 
 - `ModEchelon` keeps an echelon basis modulo a prime p (`PRIME` unless
   given).  Vectors independent modulo p are independent over Q (a nonzero
@@ -21,8 +23,7 @@ multiply and one add on a big int.  Three kernels use this layout.
   Stored rows have fields in [0, p) and a row operation adds at most
   (p - 1)^2 to a field, so after at most n of them a field is at most
   X_0 = n (p - 1) + n (p - 1)^2 = n p (p - 1); B >= bits(X_0) keeps
-  fields apart.  `rref` keeps the bound: a row is reduced mod p before
-  it clears its pivot from the rows above.
+  fields apart.
 - Reduction mod p works on all fields at once.  With 2^s = eps (mod p),
   s in {bits(p) - 1, bits(p)} and |eps| least, a fold maps each field x
   to (x mod 2^s) + eps floor(x / 2^s) + c p = x (mod p), fields at most
@@ -32,14 +33,6 @@ multiply and one add on a big int.  Three kernels use this layout.
   construction), then floor(X / p) conditional subtracts, each reading
   x >= p off the bias bit 2^(B-1) of (x + 2^(B-1)) - p, B > bits(X).
   `PRIME` = 2^20 + 7 (2^20 = -7) takes two folds and one subtract.
-- `kernel_columns` reads one kernel vector off each free column of that
-  RREF, lifts each entry u to the unique a/b = u (mod p) with |a|, b <=
-  sqrt(p / 2), if any (rational reconstruction, Wang 1981), and clears
-  denominators.  The caller certifies the result (`scheme`).  Column t
-  packs (z_1[t], ..., z_m[t]) as sum_i z_i[t] 2^{B i}, so the columns of a
-  0/1 set L sum to fields h_i = <z_i, chi_L>, |h_i| <= n max|z|.  With
-  B = bits(n max|z|) + 2 every |h_i| < 2^(B-1): the sum is zero exactly
-  when every h_i is, and its lowest set bit lies in the first nonzero h_i.
 - `first_non_eigenvector` checks M w = lam w for a symmetric 0/1 matrix M
   given by row masks as the single identity
   sum_s w_s (spread(M[s]) - lam 2^{B s}) = 0, where spread(M[s]) packs
@@ -54,7 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from functools import cache
-from math import gcd, isqrt, lcm
+from math import gcd
 
 from .gf import GF
 
@@ -174,12 +167,6 @@ def _pack(vals, nbytes: int) -> int:
                           "little")
 
 
-def _unpack(packed: int, ncols: int, nbytes: int) -> list[int]:
-    raw = packed.to_bytes(ncols * nbytes, "little")
-    return [int.from_bytes(raw[i:i + nbytes], "little")
-            for i in range(0, len(raw), nbytes)]
-
-
 class ModEchelon:
     """Incremental echelon basis modulo a prime p over packed rows.
 
@@ -252,61 +239,6 @@ class ModEchelon:
         self.rows.append(v if inv == 1 else self.reduce(v * inv))
         self.pivots.append(piv)
         return True
-
-    def rref(self) -> list[list[int]]:
-        """Back-substitute to the reduced form mod p; returns the entries
-        of the rows, which then have zeros at each other's pivots."""
-        p, width, fmask = self.p, self.width, (1 << self.width) - 1
-        rows, entries = self.rows, [None] * len(self.rows)
-        for j in range(len(rows) - 1, -1, -1):
-            rows[j] = row = self.reduce(rows[j])
-            entries[j] = _unpack(row, self.ncols, self.nbytes)
-            for i in range(j):
-                c = (rows[i] >> width * self.pivots[j] & fmask) % p
-                if c:
-                    rows[i] += (p - c) * row
-        return entries
-
-
-def rational_reconstruction(u: int, p: int):
-    """(a, b) with a = u b (mod p), |a| and 0 < b at most sqrt(p / 2) and
-    gcd(a, b) = 1, or None when u has no such fraction."""
-    bound = isqrt(p // 2)
-    r0, r1, t0, t1 = p, u % p, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if abs(t1) > bound or gcd(r1, t1) != 1:
-        return None
-    return (r1, t1) if t1 > 0 else (-r1, -t1)
-
-
-def kernel_columns(ech: ModEchelon):
-    """(width, cols) with cols[t] = sum_i z_i[t] 2^{width i} for the lifted
-    kernel vectors z_i of the rows in `ech` (z_i is the lcm of its
-    denominators at the i-th free column, 0 at the others), or None when
-    an entry has no rational reconstruction."""
-    p, n = ech.p, ech.ncols
-    pivots = set(ech.pivots)
-    free = [t for t in range(n) if t not in pivots]
-    residues = [[-vals[f] % p for f in free] for vals in ech.rref()]
-    lifted = {u: rational_reconstruction(u, p) for u in set().union(*residues)}
-    if None in lifted.values():
-        return None
-    dens = [lcm(*(lifted[row[i]][1] for row in residues))
-            for i in range(len(free))]
-    entries = [[lifted[u][0] * (d // lifted[u][1]) for u, d in zip(row, dens)]
-               for row in residues]
-    peak = max((abs(x) for e in entries + [dens] for x in e), default=0)
-    nbytes = -(-eigencheck_width(n, peak) // 8)
-    width, half = 8 * nbytes, 1 << 8 * nbytes - 1
-    bias = _pack([half] * len(free), nbytes)
-    cols = [0] * n
-    for c, e in zip(ech.pivots, entries):
-        cols[c] = _pack([x + half for x in e], nbytes) - bias
-    for i, f in enumerate(free):
-        cols[f] = dens[i] << width * i
-    return width, cols
 
 
 def _bits(m):

@@ -22,11 +22,15 @@ Omega, so the rows cover every pair.
 
 Eigenspace membership: chi lies in the orthogonal sum of the V_j, j in
 S, iff T chi = 0 for T = sum_i beta_i A_i acting as 0 on those V_j and as
-one nonzero scalar on the others (`Combination`).  Image membership for
-an incidence matrix M uses im(M^t) = ker_Q(M)^perp: a 0/1 vector chi_L
-lies in im(M^t) iff <z, chi_L> = 0 for every z in a basis of ker_Q(M).
-`CertifiedKernel` builds that basis once per matrix and certifies it;
-see there.  No floating point anywhere.
+one nonzero scalar on the others (`Combination`).
+
+Image membership for an incidence matrix M (A points, B hyperbolic
+classes, A' points on one class) needs no elimination: M^t M = sum_i
+mu_i A'_i lies in the Bose-Mesner algebra and acts on V_j as theta_j =
+sum_i mu_i P'_{j,i}, so im(M^t) = im(M^t M) is the sum of the V_j over
+S_M = {j : theta_j != 0} (Godsil & Meagher, EKR Theorems: Algebraic
+Approaches, 2016; BCN, Distance-Regular Graphs, 1989, 2.2).  `Image`
+certifies S_M = S and reuses (iii)'s T.  No floating point anywhere.
 
 Eigenspace bases (`eigenspace_bases`) take three steps, each exact.
 
@@ -57,31 +61,47 @@ Eigenspace bases (`eigenspace_bases`) take three steps, each exact.
 
 from __future__ import annotations
 
-from math import lcm, prod
+from fractions import Fraction
+from math import gcd, lcm, prod
 
-from .counting import (EigenvalueTable, intersection_numbers, parameter_b,
-                       parameter_c)
+from .counting import (EigenvalueTable, intersection_numbers, multiplicity,
+                       parameter_b, parameter_c)
 from .enumeration import PolarSpace
 from .geometry import VerificationError
-from .linalg import (PRIME, ModEchelon, _bits, _primitive,
-                     first_non_eigenvector, kernel_columns, spread)
+from .linalg import (ModEchelon, _bits, _primitive, first_non_eigenvector,
+                     spread)
 
 
 class SchemeError(RuntimeError):
     pass
 
 
-KERNEL_PRIMES = (PRIME, 2 ** 61 - 1)  # the second is tried on failure
+def eigenspace_indices(desc) -> set[int]:
+    """The index set S of statement (iii) for full generator sets."""
+    d, e = desc.rank, Fraction(desc.e)
+    if d % 2 == 0 and e == 0:
+        return {0, 1, d - 1}
+    if d % 2 == 1 and e == 1:
+        return {0, 1, d}
+    return {0, 1}
 
 
-class PackedColumns:
-    """Columns packed in balanced `width`-bit fields: 0/1 sums never carry."""
+def gram_coefficients(which: str, d: int, q: int) -> list[int]:
+    """mu with M^t M = sum_i mu_i A'_i: generators at distance i share
+    [d - i]_q points (M = A, or A' with A'_i = A_{2i} on a class) and
+    q^{d-i} hyperbolic classes at even i, none at odd i (M = B)."""
+    if which == "B":
+        return [q ** (d - i) if i % 2 == 0 else 0 for i in range(d + 1)]
+    return [(q ** (d - i) - 1) // (q - 1)
+            for i in range(0, d + 1, 2 if which == "A'" else 1)]
 
-    def witness(self, mask: int):
-        """None if the columns of the mask's members sum to zero, else the
-        index of the lowest nonzero field: one big-int add per member."""
-        acc = sum([self.cols[g] for g in _bits(mask)])
-        return ((acc & -acc).bit_length() - 1) // self.width if acc else None
+
+def image_support(which: str, d: int, q: int, P) -> dict[int, int]:
+    """{j: theta_j} over S_M = {j : theta_j != 0}, theta_j the eigenvalue
+    sum_i mu_i P'_{j,i} of M^t M on V_j; im(M^t) is the sum of those V_j."""
+    mu = gram_coefficients(which, d, q)
+    theta = (sum(m * p for m, p in zip(mu, row)) for row in P)
+    return {j: t for j, t in enumerate(theta) if t}
 
 
 def _solve(P, c) -> tuple[list[int], int]:
@@ -99,16 +119,18 @@ def _solve(P, c) -> tuple[list[int], int]:
     return [row[-1] * (D // row[i]) for i, row in enumerate(rows)], D
 
 
-class Combination(PackedColumns):
+class Combination:
     """T = sum_i beta_i A'_i, beta the primitive integer multiple of the x
     with P x = c, c_j = 0 for j in S and 1 otherwise, P the eigenvalues
     P'_{j,i} of the relations rows[i] within U = `universe`; `witness(L)`
     is the first t with (T chi_L)_t != 0.  Column g of T is packed as
     sum_i beta_i spread(A'_i[g] & U, W), W = bits(sum_i |beta_i| k'_i) + 2
-    rounded up to bytes (k'_i = P'_{0,i}).  Certificate: sum_i beta_i P'_{j,i}
-    is 0 exactly for j in S; the columns sum to (sum_i beta_i k'_i) spread(U)."""
+    rounded up to bytes (k'_i = P'_{0,i}), so 0/1 sums never carry.
+    Certificate: sum_i beta_i P'_{j,i} is 0 exactly for j in S; the
+    columns sum to (sum_i beta_i k'_i) spread(U)."""
 
     def __init__(self, S, P, rows, universe: int):
+        self.P, self.rows, self.universe = P, rows, universe
         self.beta = _primitive(_solve(P, [int(j not in S)
                                           for j in range(len(P))])[0])
         peak = sum(abs(b) * k for b, k in zip(self.beta, P[0]))
@@ -117,6 +139,18 @@ class Combination(PackedColumns):
         if problem := self._problem(P, S, universe):
             raise VerificationError(f"statement (iii) combination for "
                                     f"S = {sorted(S)}: {problem}")
+
+    def witness(self, mask: int):
+        """None if the columns of the mask's members sum to zero, else the
+        index of the lowest nonzero field: one big-int add per member."""
+        acc = sum([self.cols[g] for g in _bits(mask)])
+        return ((acc & -acc).bit_length() - 1) // self.width if acc else None
+
+    def first_field(self, acc: int):
+        """(t, value) of the lowest nonzero balanced field of acc, or None."""
+        w, half = self.width, 1 << self.width - 1
+        t = ((acc & -acc).bit_length() - 1) // w
+        return (t, ((acc >> w * t) + half) % (2 * half) - half) if acc else None
 
     def _columns(self, rows, universe: int) -> list[int]:
         terms = [(b, r) for b, r in zip(self.beta, rows) if b]
@@ -129,71 +163,67 @@ class Combination(PackedColumns):
             if (got == 0) != (j in S):
                 return (f"sum_i beta_i P'_{{{j},i}} = {got}, expected "
                         f"{'0' if j in S else 'nonzero'}")
-        w, k = self.width, sums[0]  # T 1_U = (sum_i beta_i k'_i) 1_U
-        diff = sum(self.cols) - k * spread(universe, w)
-        if diff:
-            t, half = ((diff & -diff).bit_length() - 1) // w, 1 << w - 1
-            off = ((diff >> w * t) + half) % (2 * half) - half  # balanced
-            return (f"row {t} of T sums to {k + off}, expected "
+        k = sums[0]  # T 1_U = (sum_i beta_i k'_i) 1_U
+        if off := self.first_field(sum(self.cols) - k * spread(universe,
+                                                                self.width)):
+            return (f"row {off[0]} of T sums to {k + off[1]}, expected "
                     f"sum_i beta_i k'_i = {k}")
         return None
 
 
-class CertifiedKernel(PackedColumns):
-    """A certified integer basis z_1..z_m of ker_Q(M), M the 0/1 matrix of
-    rows `masks` on `columns` (default 0..n-1); cols[g] packs
-    (z_1[g], ..., z_m[g]) as `linalg.kernel_columns` does, 0 off `columns`.
+class Image:
+    """im(M^t) for the incidence M = `which` (row masks `rows`) on Omega or
+    on class `label`: `witness(L)` is None iff chi_L lies in it, and
+    `rank` is the sum of the m_j over S_M.  Certified at build: S_M is
+    statement (iii)'s S, so T is (iii)'s Combination; and M T = 0, one
+    witness per row of M.  T is symmetric, so chi = M^t y would give
+    T chi = (M T)^t y = 0: a "not in" follows from the incidence alone.
+    For "in", G = sum_i gamma_i A'_i acts as s / theta_j on V_j, j in S_M,
+    and as 0 elsewhere (P' y = D c, c_j = L / theta_j, L = lcm theta_j;
+    gamma is y over its content g, s = D L / g), so M^t M G chi = s chi."""
 
-    Certificate, trusting neither the prime nor the lift: each z_i is
-    nonzero at its own free column and 0 at the others (so independent),
-    M z_i = 0 holds exactly as one packed sum per row of M, and
-    m = n - r_p.  As r_p <= rank_Q(M), m <= n - rank_Q(M) <= n - r_p = m:
-    the z_i span ker_Q(M), and `rank` = r_p = rank_Q(M).  A failure
-    retries with the next of `KERNEL_PRIMES`, then raises VerificationError.
-    `witness(L)` is the first i with <z_i, chi_L> != 0, if any.
-    """
+    def __init__(self, ctx, which: str, rows, S, label=None):
+        T = ctx.combination(S, label)
+        P, self._R, self._U, self.rows = T.P, T.rows, T.universe, rows
+        theta = image_support(which, ctx.d, ctx.space.desc.q, P)
+        self.name = f"{ctx.space.name()} M = {which}" + (
+            f" on the {label} class" if label else "")
+        if set(theta) != S:
+            raise VerificationError(
+                f"{self.name}: M^t M is nonzero on V_j for j in S_M = "
+                f"{sorted(theta)}, expected statement (iii)'s S = {sorted(S)}")
+        self.witness = T.witness
+        self.rank = sum(multiplicity(P, j, self._U.bit_count()) for j in S)
+        for r, m in enumerate(rows):
+            if hit := T.first_field(sum([T.cols[g] for g in _bits(m)])):
+                raise VerificationError(f"{self.name}: entry ({r}, {hit[0]}) "
+                                        f"of M T is {hit[1]}, expected 0")
+        L = lcm(*theta.values())
+        y, D = _solve(P, [L // theta[j] if j in theta else 0
+                          for j in range(len(P))])
+        g = gcd(*y)
+        self._gamma, self._scale = [x // g for x in y], D * L // g
 
-    def __init__(self, masks, n: int, columns=None):
-        local = masks if columns is None else _compress(masks, columns)
-        columns = range(n) if columns is None else columns
-        failures = []
-        for p in KERNEL_PRIMES:
-            ech = ModEchelon(len(columns), p)
-            for m in local:
-                ech.add(spread(m, ech.width))
-            self.rank, self.dim = ech.rank, len(columns) - ech.rank
-            lifted = kernel_columns(ech)
-            if lifted is None:
-                failures.append(f"p = {p}: an entry has no rational lift")
-                continue
-            self.width, packed, self.cols = *lifted, [0] * n
-            for g, col in zip(columns, packed):
-                self.cols[g] = col
-            pivots = set(ech.pivots)
-            problem = self._problem(masks, [g for t, g in enumerate(columns)
-                                            if t not in pivots])
-            if problem is None:
-                return
-            failures.append(f"p = {p}: {problem}")
-        raise VerificationError("kernel certificate: " + "; ".join(failures))
+    def preimage(self, mask: int):
+        """(Y, s) = (M G chi_L, D L / g); M^t Y = s chi_L iff chi_L is in
+        the image."""
+        terms = [(c, r) for c, r in zip(self._gamma, self._R) if c]
+        G = [sum(c * (r[t] & mask).bit_count() for c, r in terms)
+             for t in range(len(self._R[0]))]
+        return [sum(G[t] for t in _bits(m)) for m in self.rows], self._scale
 
-    def _problem(self, masks, free):
-        w, cols = self.width, self.cols
-        alone = sum(1 for i, g in enumerate(free) if cols[g] >> w * i << w * i
-                    == cols[g] and 0 < cols[g] >> w * i < 1 << w - 1)
-        if alone != self.dim:
-            return (f"{alone} vectors are nonzero at their free column alone, "
-                    f"expected n - r_p = {self.dim}")
-        for k, m in enumerate(masks):
-            if self.witness(m) is not None:
-                return f"entry {k} of M z_{self.witness(m)} is nonzero"
-        return None
-
-
-def _compress(masks, columns):
-    """Each mask with bit columns[t] moved to bit t, other bits dropped."""
-    at = {g: t for t, g in enumerate(columns)}
-    return [sum(1 << at[g] for g in _bits(m) if g in at) for m in masks]
+    def certify(self, mask: int):
+        """Check M^t Y = s chi_L exactly, which puts chi_L = M^t (Y / s) in
+        the image; VerificationError names the first generator off."""
+        Y, s = self.preimage(mask)
+        got = [0] * len(self._R[0])
+        for y, m in zip(Y, self.rows):
+            for g in _bits(m) if y else ():
+                got[g] += y
+        for g in _bits(self._U):
+            if got[g] != s * (mask >> g & 1):
+                raise VerificationError(f"{self.name}: entry {g} of M^t Y is "
+                                        f"{got[g]}, expected {s * (mask >> g & 1)}")
 
 
 def _column_sums(masks):
@@ -239,7 +269,7 @@ class SchemeContext:
         bit-sliced point counts (see the module docstring)."""
         sp, d, n = self.space, self.d, self.n
         q, rows, full = sp.desc.q, sp.point_gen_masks(), (1 << n) - 1
-        counts = [(q ** (d - i) - 1) // (q - 1) for i in range(d + 1)]
+        counts = gram_coefficients("A", d, q)
         A = [[0] * n for _ in range(d + 1)]
         for g, pm in enumerate(sp.gen_point_masks):
             planes = _column_sums(rows[p] for p in _bits(pm))
@@ -296,7 +326,7 @@ class SchemeContext:
         for m in B:
             for g in _bits(m):
                 through[g].append(m)
-        expect = [q ** (d - i) if i % 2 == 0 else 0 for i in range(d + 1)]
+        expect = gram_coefficients("B", d, q)
         for u in range(n):
             planes = _column_sums(through[u])
             bad = sum(self.A[i][u] & ~_where(planes, e, full)  # disjoint
@@ -374,14 +404,19 @@ class SchemeContext:
 
     # -- image membership ------------------------------------------------------
 
-    def image_basis(self, which: str) -> CertifiedKernel:
-        """Certified kernel of M = A (points) or B (hyperbolic classes);
-        its `witness` decides membership in im(M^t)."""
+    def image_basis(self, which: str) -> Image:
+        """im(M^t) for M = A (points) or B (hyperbolic classes, once
+        `verify_BtB` has certified M^t M); see `Image`."""
         if which not in ("A", "B"):
             raise SchemeError(f"unknown incidence matrix {which!r}")
         if which not in self._image_bases:
-            masks = self.space.point_gen_masks() if which == "A" else self.build_B()
-            self._image_bases[which] = CertifiedKernel(masks, self.n)
+            if which == "B" and (bad := self.verify_BtB()) is not None:
+                raise VerificationError(
+                    "(B^t B)_{{{}, {}}} at distance {} is {}, expected {}"
+                    .format(*bad))
+            rows = self.space.point_gen_masks() if which == "A" else self.build_B()
+            self._image_bases[which] = Image(
+                self, which, rows, eigenspace_indices(self.space.desc))
         return self._image_bases[which]
 
     # -- eigenspace bases (via the incidence matrices) ---------------------------
@@ -485,12 +520,11 @@ class RestrictedScheme:
         self.P = [row[::2] for row in ctx.P[:sp.d // 2 + 1]]
         self._image_basis_cache = None
 
-    def image_basis(self) -> CertifiedKernel:
-        """Certified kernel of A' = points x class generators, indexed by
-        the full generator index."""
+    def image_basis(self) -> Image:
+        """im(A'^t), A' = points x class generators; see `Image`."""
         if self._image_basis_cache is None:
             cm = self.ctx.space.class_mask(self.label)
-            self._image_basis_cache = CertifiedKernel(
-                [pm & cm for pm in self.ctx.space.point_gen_masks()],
-                self.ctx.n, self.members)
+            self._image_basis_cache = Image(
+                self.ctx, "A'", [pm & cm for pm in self.ctx.space.point_gen_masks()],
+                {0, 1}, self.label)
         return self._image_basis_cache

@@ -4,8 +4,10 @@ import pytest
 
 from polarcl.clsets import construct_embedded, get_context
 from polarcl.enumeration import get_space_by_name
-from polarcl.gq import (GQ, GQError, classify_tight_set, gq_cl_report,
-                        tight_parameter, tight_set_test)
+from polarcl.gq import (GQ, GQError, classify_tight_set, tight_parameter,
+                        tight_set_test)
+
+from reference import gq_cl_report
 
 
 def gq_of(name):

@@ -1,6 +1,7 @@
-"""The certified-kernel image test: verdicts against fraction-free
-elimination on the benchmark corpora, the certificate under tampering,
-and the GQ statement (ii) on the same kernel."""
+"""The image test against elimination: the library's verdicts against
+fraction-free elimination on the benchmark corpora, and the certified
+kernel of `reference` (the elimination route, kept for the tests) under
+tampering and on the GQ statement (ii)."""
 
 import importlib.util
 import os
@@ -8,17 +9,17 @@ import sys
 
 import pytest
 
-import polarcl.gq
-import polarcl.scheme as scheme
+import reference
 from polarcl.clsets import GenSet, get_context
 from polarcl.clsets import test_image as image_test
 from polarcl.enumeration import get_space_by_name
 from polarcl.geometry import VerificationError
-from polarcl.gq import GQ, gq_cl_report
-from polarcl.linalg import PRIME, IntEchelon, kernel_columns
-from polarcl.scheme import CertifiedKernel, SchemeError
+from polarcl.gq import GQ
+from polarcl.linalg import PRIME, IntEchelon
+from polarcl.scheme import SchemeError
 
-from reference import image_membership
+from reference import (CertifiedKernel, gq_cl_report, image_membership,
+                       kernel_columns)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -160,7 +161,7 @@ def _entry_off_by_one(monkeypatch):
         width, cols = kernel_columns(ech)
         cols[ech.pivots[0]] += 1  # z_0 at the first row's pivot column
         return width, cols
-    monkeypatch.setattr(scheme, "kernel_columns", corrupt)
+    monkeypatch.setattr(reference, "kernel_columns", corrupt)
     _q62_B_kernel()
 
 
@@ -173,7 +174,7 @@ def _entry_off_past_row_0(monkeypatch):
         width, cols = kernel_columns(ech)
         cols[next(c for c in ech.pivots if not B[0] >> c & 1)] += 1
         return width, cols
-    monkeypatch.setattr(scheme, "kernel_columns", corrupt)
+    monkeypatch.setattr(reference, "kernel_columns", corrupt)
     _q62_B_kernel()
 
 
@@ -182,17 +183,17 @@ def _free_entry_zeroed(monkeypatch):
         width, cols = kernel_columns(ech)
         cols[next(t for t in range(ech.ncols) if t not in ech.pivots)] = 0
         return width, cols
-    monkeypatch.setattr(scheme, "kernel_columns", corrupt)
+    monkeypatch.setattr(reference, "kernel_columns", corrupt)
     _q62_B_kernel()
 
 
 def _primes_too_small_to_lift(monkeypatch):
-    monkeypatch.setattr(scheme, "KERNEL_PRIMES", (5, 7))
+    monkeypatch.setattr(reference, "KERNEL_PRIMES", (5, 7))
     _q62_B_kernel()
 
 
 def _primes_that_lift_wrongly(monkeypatch):
-    monkeypatch.setattr(scheme, "KERNEL_PRIMES", (2, 3))
+    monkeypatch.setattr(reference, "KERNEL_PRIMES", (2, 3))
     _q62_B_kernel()
 
 
@@ -231,7 +232,7 @@ def test_tampered_kernel_raises_under_optimize(run_under_optimize):
 def test_failed_prime_retries_with_the_next(monkeypatch):
     want = _q62_B_kernel()
     for primes in ((5, PRIME), (2, 2 ** 61 - 1)):
-        monkeypatch.setattr(scheme, "KERNEL_PRIMES", primes)
+        monkeypatch.setattr(reference, "KERNEL_PRIMES", primes)
         got = _q62_B_kernel()
         assert (got.rank, got.dim) == (want.rank, want.dim) == (51, 84)
         pencils = get_space_by_name("Q(6,2)").point_gen_masks()
@@ -246,7 +247,7 @@ def test_gq_statement_ii_builds_its_kernel_once(monkeypatch):
         def __init__(self, *args):
             built.append(args)
             super().__init__(*args)
-    monkeypatch.setattr(polarcl.gq, "CertifiedKernel", Counting)
+    monkeypatch.setattr(reference, "CertifiedKernel", Counting)
     g = GQ.from_polar(get_space_by_name("W(3,2)"))
     for mask in (g.point_lines[0], g.point_lines[0] ^ 1, 0,
                  (1 << g.n_lines) - 1):

@@ -24,12 +24,13 @@ quadrics with x = |L| / prod_{i=1}^{d-2}(q^i + 1), where all disjointness
 happens inside the class.
 
 Everything below is exact; every test reports a witness on failure.
-(i) and (ii) count the bits of the same rows of K, so they are two
-closed forms over one product, not independent routes.  The image test
-reads statement (iii)'s packed combination, so their agreement is the
-identity S_M = S that `scheme.Image` certifies, not a second
-computation; the incidence certificates of `scheme.Image` tie the image
-verdicts to M itself.  (iii) and (iv) are the independent routes.
+(ii) is read off (i), once `test_eigenvector`'s identity is certified
+on the universe, so they are one computation, not independent routes.
+The image test reads statement (iii)'s packed combination, so their
+agreement is the identity S_M = S that `scheme.Image` certifies, not a
+second computation; the incidence certificates of `scheme.Image` tie
+the image verdicts to M itself.  (iii) and (iv) are the independent
+routes.
 Statements (i)-(iii) work on the set's bitmask directly.
 """
 
@@ -82,6 +83,7 @@ class CLContext:
         self.disjointness = qint(self.q, binom2(self.d - 1) + self.e * (self.d - 1))
         self._restricted: dict[str, RestrictedScheme] = {}
         self.valid_spreads: set[int] = set()  # masks already checked as spreads
+        self.eigenvector_forms: set = set()  # labels with (ii) = N (i) certified
         # each generator's points as packed fields: a sum over members
         # counts at most n per field, so it never carries
         width = self.n.bit_length()
@@ -104,6 +106,7 @@ _CTX_CACHE: dict = {}
 
 
 def get_context(space: PolarSpace) -> CLContext:
+    # the cached context holds `space`, so its id is not reused while cached
     key = id(space)
     if key not in _CTX_CACHE:
         _CTX_CACHE[key] = CLContext(space)
@@ -204,21 +207,32 @@ def test_disjointness_counts(gs: GenSet):
 def test_eigenvector(gs: GenSet):
     """Statement (ii): K-eigenvector condition on the centred vector.
 
-    Scaled to integers: with N = |Omega'| the size of the universe, the
-    vector w = N chi - |L| j is an eigenvector of K for
-    lam = -q^{C(d-1,2)+e(d-1)} (-q^{C(d-1,2)} on a class) iff the
-    rational one is.  As chi is 0/1, (K w)_pi is the popcount form
-    N |K_pi ^ L| - |L| |K_pi ^ Omega'|; it is compared with lam w_pi one
-    pi at a time, and the witness is the first failing position in the
-    universe (an index into Omega', i.e. into K w).
+    Scaled to integers: with N = |U| the size of the universe, the vector
+    w = N chi - |L| j is an eigenvector of K for lam = -f,
+    f = q^{C(d-1,2)+e(d-1)} (q^{C(d-1,2)} on a class), iff the rational
+    one is.  As chi is 0/1, (K w - lam w)_pi is
+    N |K_pi ^ L| + f N chi_pi - |L| (k' + f) with k' = |K_pi ^ U|: N times
+    statement (i)'s difference at pi once p (k' + f) = N f, p the pencil
+    size.  That is certified once per universe, and (ii) is read off (i);
+    the witness is (i)'s pi as a position in the universe (an index into
+    K w).
     """
-    positions, universe, factor = _universe(gs)
-    K, mask, size, N = gs.ctx.scheme.K, gs.mask, gs.size, len(positions)
-    for t, pi in enumerate(positions):
-        kw = N * (K[pi] & mask).bit_count() - size * (K[pi] & universe).bit_count()
-        if kw != -factor * (N * ((mask >> pi) & 1) - size):
-            return False, t
-    return True, None
+    return _eigenvector_from(gs, test_disjointness_counts(gs))
+
+
+def _eigenvector_from(gs: GenSet, verdict):
+    """Statement (ii)'s (verdict, witness) from statement (i)'s."""
+    ctx, (_, universe, f) = gs.ctx, _universe(gs)
+    if gs.class_label not in ctx.eigenvector_forms:
+        p = ctx.pencil if gs.class_label is None else ctx.class_pencil()
+        want = Fraction(universe.bit_count() * f, p) - f  # k'
+        for pi in _bits(universe):
+            if (got := (ctx.scheme.K[pi] & universe).bit_count()) != want:
+                raise VerificationError(f"statement (ii) from (i): |K_{pi} ^ U| "
+                                        f"is {got}, expected N f / p - f = {want}")
+        ctx.eigenvector_forms.add(gs.class_label)
+    ok, pi = verdict
+    return ok, None if pi is None else (universe & ((1 << pi) - 1)).bit_count()
 
 
 def test_eigenspace(gs: GenSet):
@@ -295,7 +309,7 @@ def check_cl(gs: GenSet, spreads=None) -> CLReport:
     rep.verdicts["disjointness_counts"] = ok
     if wit is not None:
         rep.witnesses["disjointness_counts"] = wit
-    ok, wit = test_eigenvector(gs)
+    ok, wit = _eigenvector_from(gs, (ok, wit))
     rep.verdicts["eigenvector"] = ok
     if wit is not None:
         rep.witnesses["eigenvector"] = wit
@@ -424,19 +438,6 @@ def difference(a: GenSet, b: GenSet) -> GenSet:
     if b.mask & ~a.mask:
         raise GeometryError("difference needs the second set inside the first")
     return GenSet(a.ctx, a.mask & ~b.mask, a.class_label)
-
-
-def construct(ctx: CLContext, kind: str, **kw) -> GenSet:
-    builders = {
-        "point_pencil": construct_point_pencil,
-        "hyperbolic_class": construct_hyperbolic_class,
-        "embedded_polar_space": construct_embedded,
-        "base_plane": construct_base_plane,
-        "base_solid": construct_base_solid,
-    }
-    if kind not in builders:
-        raise GeometryError(f"unknown construction {kind!r}")
-    return builders[kind](ctx, **kw)
 
 
 # -- intersection distributions ---------------------------------------------------

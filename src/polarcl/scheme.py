@@ -34,28 +34,26 @@ certifies S_M = S and reuses (iii)'s T.  No floating point anywhere.
 
 Eigenspace bases (`eigenspace_bases`) take three steps, each exact.
 
-- Projection.  The annihilator prod_{l != j} (A_1 - P_{l,1} I) lies in
-  the Bose-Mesner algebra, so it equals sum_i alpha_i A_i with integer
-  alpha_i, solved for like beta (see `_annihilator`).  Its column g mod p
-  is the packed row R_g = sum_i (alpha_i mod p) spread(A_i[g]), fields in
-  [0, p).  A 0/1
-  row r of C_j projects mod p to sum_{g in r} R_g, fields at most
-  n (p - 1), and exactly to w_t = sum_i alpha_i |A_i[t] ^ r|, which is
-  computed for kept rows only.
-- Independence modulo one prime.  The projections are kept greedily while
-  they are independent modulo `linalg.PRIME`, in a packed-row echelon.
-  The certificate is one-sided: independence mod p implies independence
-  over Q, so an accepted basis is independent (each kept w must reduce
-  to the accepted row); a rank that falls short of the multiplicity
-  raises SchemeError, with no fallback.  The annihilator acts on V_j as
-  the scalar prod_{l != j} (P_{j,1} - P_{l,1}), and a prime that divides
-  a factor loses rank (p = 5 reaches rank 1 of 9 on V_1 of W(3,2)).
+- Columns.  The annihilator prod_{l != j} (A_1 - P_{l,1} I) lies in the
+  Bose-Mesner algebra, so it equals sum_i alpha_i A_i with integer
+  alpha_i, solved for like beta (see `_annihilator`).  It is a multiple
+  of the minimal idempotent E_j, so its column g lies in V_j; the entry
+  at t is alpha_{dist(g,t)}, read off `_distance_row(g)` with no
+  arithmetic.
+- Independence modulo one prime.  The columns are kept greedily while
+  they are independent modulo `linalg.PRIME`, in a packed-row echelon
+  that reduces each column mod p itself.  The certificate is one-sided:
+  independence mod p implies independence over Q, so an accepted basis
+  is independent; a rank that falls short of the multiplicity raises
+  SchemeError, with no fallback.  The annihilator acts on V_j as the
+  scalar prod_{l != j} (P_{j,1} - P_{l,1}), and a prime that divides a
+  factor loses rank (p = 5 reaches rank 1 of 9 on V_1 of W(3,2)).
   p > 2^20 exceeds every |P_{j,1} - P_{l,1}| <= 2 P_{0,1} while the
   valency P_{0,1} is below 2^19.
 - Packed eigencheck.  Every basis vector w of V_j satisfies
   A_1 w = P_{j,1} w, checked as one integer identity on packed rows whose
   field width, bits(k max|w|) + 2, keeps the fields from carrying.  The
-  modular echelon takes fields up to n (p - 1) and grows them to at most
+  modular echelon takes fields in [0, p) and grows them to at most
   n p (p - 1).  Both bounds are derived in `linalg`.
 """
 
@@ -419,7 +417,7 @@ class SchemeContext:
                 self, which, rows, eigenspace_indices(self.space.desc))
         return self._image_bases[which]
 
-    # -- eigenspace bases (via the incidence matrices) ---------------------------
+    # -- eigenspace bases (from the annihilator columns) -------------------------
 
     def _annihilator(self, j: int) -> list[int]:
         """alpha with prod_{l != j} (A_1 - P_{l,1} I) = sum_i alpha_i A_i;
@@ -431,24 +429,15 @@ class SchemeContext:
         y, D = _solve(self.P, c)
         return [a // D for a in y]
 
-    def _project(self, alpha, mask: int) -> list[int]:
-        """(sum_i alpha_i A_i) chi for the 0/1 vector chi of a generator
-        mask: entry t is sum_i alpha_i |A_i[t] ^ mask|."""
-        w = [0] * self.n
-        for a, rows in zip(alpha, self.A):
-            if a:
-                w = [x + a * (row & mask).bit_count() for x, row in zip(w, rows)]
-        return w
-
     def eigenspace_bases(self):
-        """Integer bases of every V_j, built from the rows of the C_j.
+        """Integer bases of every V_j, built from columns of the annihilators.
 
-        V_0 is spanned by the all-ones vector.  For j >= 1 each row of C_j
-        is projected by sum_i alpha_i A_i = prod_{l != j} (A_1 - P_{l,1} I),
-        a scalar multiple of the minimal idempotent E_j, and the
-        projections are kept greedily, in row order, while they stay
-        independent modulo `linalg.PRIME`.  im(C_j^t) = V_0 + ... + V_j
-        makes them span V_j; a rank short of the multiplicity m_j raises
+        V_0 is spanned by the all-ones vector.  For j >= 1, column g of
+        sum_i alpha_i A_i = prod_{l != j} (A_1 - P_{l,1} I), a nonzero
+        multiple of the minimal idempotent E_j, has entries
+        alpha_{dist(g,t)}; the columns are kept greedily, g = 0, 1, ...,
+        while they stay independent modulo `linalg.PRIME`.  The columns of
+        E_j span V_j, so a rank short of the multiplicity m_j raises
         SchemeError.
 
         Certificate, trusting neither alpha nor p: the bases are
@@ -465,27 +454,17 @@ class SchemeContext:
         for j in range(1, d + 1):
             alpha = self._annihilator(j)
             want = self.table.multiplicity(j)
-            ech = ModEchelon(n)
-            p, width = ech.p, ech.width
-            coef = [(a % p, rows) for a, rows in zip(alpha, self.A) if a % p]
-            cols = [sum(c * spread(rows[g], width) for c, rows in coef)
-                    for g in range(n)]
-            basis = []
-            for m in self.incidence(j):
-                row = sum([cols[g] for g in _bits(m)])
-                if ech.add(row):
-                    w = self._project(alpha, m)
-                    if ech.pack(w) != ech.reduce(row):
-                        raise SchemeError(
-                            f"basis vector {len(basis)} of V_{j} fails to "
-                            f"match its packed projection modulo p = {p}")
+            ech, basis = ModEchelon(n), []
+            for g in range(n):
+                w = [alpha[i] for i in self._distance_row(g)]
+                if ech.add(w):
                     basis.append(w)
                     if ech.rank == want:
                         break
             if ech.rank != want:
                 raise SchemeError(
-                    f"rows of C_{j} reach rank {ech.rank} modulo p = {ech.p}, "
-                    f"expected the multiplicity {want} of V_{j}")
+                    f"columns of the annihilator reach rank {ech.rank} modulo "
+                    f"p = {ech.p}, expected the multiplicity {want} of V_{j}")
             bases[j] = basis
         total = sum(len(b) for b in bases.values())
         if total != n:

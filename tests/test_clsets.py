@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polarcl import clsets
-from polarcl.clsets import (GenSet, VerificationError, check_cl, complement,
-                            construct, construct_base_plane,
+from polarcl.clsets import (CLContext, GenSet, VerificationError, check_cl,
+                            complement, construct_base_plane,
                             construct_base_solid, construct_embedded,
                             construct_hyperbolic_class,
                             construct_point_pencil, difference,
@@ -211,21 +211,19 @@ def test_regular_systems():
 
 def test_construction_parameters():
     q6 = ctx_of("Q(6,2)")
-    pencil = construct(q6, "point_pencil", point_idx=0)
+    pencil = construct_point_pencil(q6, 0)
     assert pencil.size == 15 and pencil.x == 1
     qm = ctx_of("Q-(5,2)")
-    em = construct(qm, "embedded_polar_space")
+    em = construct_embedded(qm)
     assert em.size == 15 and em.x == 3
     comp = complement(construct_point_pencil(ctx_of("W(3,2)"), 0))
     assert comp.x == 4  # q^{e+d-1} + 1 - 1
-    bp = construct(q6, "base_plane", gen_idx=0)
+    bp = construct_base_plane(q6, 0)
     assert bp.size == 15 and bp.x == 1
     qp7 = ctx_of("Q+(7,2)")
     center = qp7.space.class_members("greek")[0]
-    bs = construct(qp7, "base_solid", center=center, class_label="latin")
+    bs = construct_base_solid(qp7, center, "latin")
     assert bs.size == 15 and bs.x == 1
-    with pytest.raises(GeometryError):
-        construct(q6, "no_such_kind")
 
 
 def test_set_algebra():
@@ -551,3 +549,24 @@ def test_failed_verification_raises(monkeypatch, route):
 @pytest.mark.under_optimize("test_failed_verification_raises")
 def test_failed_verification_raises_under_optimize(run_under_optimize):
     run_under_optimize(5)
+
+
+@pytest.mark.parametrize("name, label", [("W(3,2)", None),
+                                         ("Q+(7,2)", "latin")])
+def test_tampered_disjointness_degree_raises(name, label):
+    # one K bit flipped inside the universe breaks p (k' + f) = N f at the
+    # row it is in, so statement (ii) cannot be read off statement (i)
+    ctx = CLContext(get_space_by_name(name))
+    members = ctx.space.class_members(label) if label else range(ctx.n)
+    pi, t = members[3], members[7]
+    ctx.scheme.K[pi] ^= 1 << t
+    gs = GenSet(ctx, 0, label)
+    with pytest.raises(VerificationError, match=rf"\|K_{pi} \^ U\| is"):
+        eigenvector_test(gs)
+    with pytest.raises(VerificationError, match=rf"\|K_{pi} \^ U\| is"):
+        check_cl(gs)
+
+
+@pytest.mark.under_optimize("test_tampered_disjointness_degree_raises")
+def test_tampered_disjointness_degree_raises_under_optimize(run_under_optimize):
+    run_under_optimize(2)

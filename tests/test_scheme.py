@@ -373,8 +373,9 @@ DESK_UP_TO_135 = ["Q+(5,2)", "Q(4,2)", "Q(6,2)", "Q-(5,2)", "W(3,2)",
 
 
 def reference_eigenspace_bases(sch):
-    """The list-based construction: annihilate each C_j row with d list
-    matvecs and keep it if it is independent over Q (IntEchelon)."""
+    """The list-based construction: annihilate each unit vector e_g with d
+    list matvecs, giving column g of the annihilator, and keep it if it is
+    independent over Q (IntEchelon)."""
     from polarcl.linalg import IntEchelon
     d, n = sch.d, sch.n
     bases = {0: [[1] * n]}
@@ -382,8 +383,8 @@ def reference_eigenspace_bases(sch):
         others = [l for l in range(d + 1) if l != j]
         ech = IntEchelon(n)
         basis = []
-        for m in sch.incidence(j):
-            w = annihilate(sch, [(m >> t) & 1 for t in range(n)], others)
+        for g in range(n):
+            w = annihilate(sch, [int(t == g) for t in range(n)], others)
             if any(w) and ech.add(w):
                 basis.append(w)
             if ech.rank == sch.table.multiplicity(j):
@@ -399,14 +400,17 @@ def test_eigenspace_bases_match_reference(name):
 
 
 def test_annihilator_expansion_matches_matvecs():
+    # column g of sum_i alpha_i A_i, read through the distances from g, is
+    # the product of the other factors applied to e_g
     for name in ("W(3,2)", "Q(6,2)", "H(3,4)", "Q+(7,2)"):
         sch = ctx_of(name)
         for j in range(sch.d + 1):
             alpha = sch._annihilator(j)
             others = [l for l in range(sch.d + 1) if l != j]
-            for m in sch.incidence(max(j, 1))[:3]:
-                row = [(m >> t) & 1 for t in range(sch.n)]
-                assert sch._project(alpha, m) == annihilate(sch, row, others)
+            for g in (0, 1, sch.n - 1):
+                unit = [int(t == g) for t in range(sch.n)]
+                column = [alpha[i] for i in sch._distance_row(g)]
+                assert column == annihilate(sch, unit, others)
 
 
 @pytest.mark.parametrize("name", DESK_UP_TO_135 + ["Q+(7,2)", "H(4,4)",
@@ -425,17 +429,18 @@ def _fresh(name):
 
 
 def _entry_off_by_one(monkeypatch):
+    # the first column the bases read gets one distance wrong
     from polarcl.scheme import SchemeContext
-    project = SchemeContext._project
+    distance_row = SchemeContext._distance_row
     calls = []
 
-    def corrupt(self, alpha, mask):
-        w = project(self, alpha, mask)
+    def corrupt(self, u):
+        row = bytearray(distance_row(self, u))
         if not calls:
-            w[5] += 1
-        calls.append(mask)
-        return w
-    monkeypatch.setattr(SchemeContext, "_project", corrupt)
+            row[5] = (row[5] + 1) % (self.d + 1)
+        calls.append(u)
+        return bytes(row)
+    monkeypatch.setattr(SchemeContext, "_distance_row", corrupt)
     _fresh("Q(6,2)").eigenspace_bases()
 
 
@@ -457,7 +462,17 @@ def _small_prime(monkeypatch):
     _fresh("W(3,2)").eigenspace_bases()
 
 
+def _dims_short(monkeypatch):
+    sch = _fresh("Q(6,2)")
+    multiplicity = sch.table.multiplicity
+    monkeypatch.setattr(sch.table, "multiplicity",
+                        lambda j: multiplicity(j) - (j == 2))
+    sch.eigenspace_bases()
+
+
 BASIS_CORRUPTIONS = {
+    "dims-short": (_dims_short,
+                   r"eigenspace dimensions sum to 134, expected 135"),
     "entry-off-by-one": (_entry_off_by_one, r"basis vector 0 of V_1 fails"),
     "alpha-off-by-one": (_alpha_off_by_one, r"fails the A_1 eigencheck"),
     "rank-short-mod-p": (_small_prime,

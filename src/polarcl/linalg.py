@@ -33,20 +33,21 @@ multiply and one add on a big int.  Two kernels use this layout.
   construction), then floor(X / p) conditional subtracts, each reading
   x >= p off the bias bit 2^(B-1) of (x + 2^(B-1)) - p, B > bits(X).
   `PRIME` = 2^20 + 7 (2^20 = -7) takes two folds and one subtract.
-- `first_non_eigenvector` checks M w = lam w for a symmetric 0/1 matrix M
-  given by row masks as the single identity
-  sum_s w_s (spread(M[s]) - lam 2^{B s}) = 0, where spread(M[s]) packs
-  row s.  The fields of that sum are the entries h_t of (M - lam I) w, and
-  |h_t| <= 2 k max|w| for k = max(row weight, |lam|).  With
-  B = bits(k max|w|) + 2 every |h_t| < 2^(B-1), so the balanced fields
-  cannot carry into each other and the sum is zero exactly when every
-  h_t is.
+- `first_non_eigenvector` checks M w_i = lam w_i for a symmetric 0/1
+  matrix M given by row masks, all w_i in one transposed pass: X_t packs
+  entry t of every vector (field i holds w_i[t]), and row s of
+  (M - lam I) W, sum_{t in M[s]} X_t - lam X_s, has the fields h_{i,s} =
+  ((M - lam I) w_i)_s, |h_{i,s}| <= 2 k max|w| for k = max(row weight,
+  |lam|).  With B = bits(k max|w|) + 2 every |h_{i,s}| < 2^(B-1), so the
+  balanced fields cannot carry into each other: a row is zero exactly when
+  its h_{i,s} are, and its lowest set bit lies in its lowest nonzero field.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from functools import cache
+from itertools import compress
 from math import gcd
 
 from .gf import GF
@@ -206,10 +207,6 @@ class ModEchelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def pack(self, vec) -> int:
-        """A list of integers as a packed row of their residues mod p."""
-        return _pack([x % self.p for x in vec], self.nbytes)
-
     def reduce(self, v: int) -> int:
         """The packed row v, fields in [0, bound], with every field
         reduced into [0, p): the folds, then the conditional subtracts."""
@@ -226,7 +223,8 @@ class ModEchelon:
         report whether it was.  vec is a packed row with fields in
         [0, ncols (p - 1)], or a list of integers, packed once."""
         p, width, fmask = self.p, self.width, (1 << self.width) - 1
-        v = vec if isinstance(vec, int) else self.pack(vec)
+        v = vec if isinstance(vec, int) else _pack([x % p for x in vec],
+                                                     self.nbytes)
         for piv, row in zip(self.pivots, self.rows):
             c = (v >> width * piv & fmask) % p
             if c:
@@ -281,19 +279,19 @@ def first_non_eigenvector(masks, lam: int, vectors):
     """Index of the first vector w with M w != lam w, or None.
 
     M is the symmetric 0/1 matrix with row masks `masks`; each row is
-    read as a column too.  Each vector costs one
-    multiply-add per entry on packed rows, at the width the module
-    docstring shows to be exact.
+    read as a column too.  X_t is its positive entries less its negated
+    negative ones, each packed from unsigned binary fields; the module
+    docstring gives the n k row adds, their width and the least field.
     """
     degree = max([abs(lam)] + [m.bit_count() for m in masks])
-    peak = max((abs(x) for w in vectors for x in w), default=0)
-    width = eigencheck_width(degree, peak)
-    rows = [spread(m, width) - (lam << width * s) for s, m in enumerate(masks)]
-    for idx, w in enumerate(vectors):
-        acc = 0
-        for x, row in zip(w, rows):
-            if x:
-                acc += x * row
-        if acc:
-            return idx
-    return None
+    values = set().union(*vectors)
+    width = eigencheck_width(degree, max(map(abs, values), default=0))
+    pos = {x: format(max(x, 0), f"0{width}b") for x in values}
+    neg = {x: format(max(-x, 0), f"0{width}b") for x in values}
+    X = [int("".join(map(pos.__getitem__, col)), 2)
+         - int("".join(map(neg.__getitem__, col)), 2)
+         for col in zip(*vectors[::-1])]  # field i: vectors[i]
+    rows = (sum(compress(X, spread(m, 8).to_bytes(len(X), "little"))) - lam * x
+            for m, x in zip(masks, X))
+    return min((((h & -h).bit_length() - 1) // width for h in rows if h),
+               default=None)

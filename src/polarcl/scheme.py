@@ -38,8 +38,11 @@ Eigenspace bases (`eigenspace_bases`) take three steps, each exact.
   Bose-Mesner algebra, so it equals sum_i alpha_i A_i with integer
   alpha_i, solved for like beta (see `_annihilator`).  It is a multiple
   of the minimal idempotent E_j, so its column g lies in V_j; the entry
-  at t is alpha_{dist(g,t)}, read off `_distance_row(g)` with no
-  arithmetic.
+  at t is alpha_{dist(g,t)}, packed mod p by a table over i from the
+  bytes of `_distance_row(g)`.  The columns are read in `column_order`,
+  a golden-ratio stride: canonical neighbours lie in one sub-geometry and
+  span little of V_j together (columns 0..279 of H(4,4) reach 119 of
+  V_1's 120 dimensions), so the walk spreads over Omega instead.
 - Independence modulo one prime.  The columns are kept greedily while
   they are independent modulo `linalg.PRIME`, in a packed-row echelon
   that reduces each column mod p itself.  The certificate is one-sided:
@@ -51,8 +54,8 @@ Eigenspace bases (`eigenspace_bases`) take three steps, each exact.
   p > 2^20 exceeds every |P_{j,1} - P_{l,1}| <= 2 P_{0,1} while the
   valency P_{0,1} is below 2^19.
 - Packed eigencheck.  Every basis vector w of V_j satisfies
-  A_1 w = P_{j,1} w, checked as one integer identity on packed rows whose
-  field width, bits(k max|w|) + 2, keeps the fields from carrying.  The
+  A_1 w = P_{j,1} w, checked for the whole basis in one transposed pass
+  at field width bits(k max|w|) + 2, which keeps fields from carrying.  The
   modular echelon takes fields in [0, p) and grows them to at most
   n p (p - 1).  Both bounds are derived in `linalg`.
 """
@@ -60,7 +63,7 @@ Eigenspace bases (`eigenspace_bases`) take three steps, each exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 from .counting import (EigenvalueTable, intersection_numbers, multiplicity,
                        parameter_b, parameter_c)
@@ -243,6 +246,16 @@ def _where(planes, value: int, full: int) -> int:
     for t, b in enumerate(planes):
         m &= b if value >> t & 1 else ~b
     return m
+
+
+def column_order(n: int) -> list[int]:
+    """g_s = s c mod n for s = 0..n-1: a golden-ratio stride, c the
+    integer nearest n / phi = n (sqrt 5 - 1) / 2, raised until it is prime
+    to n.  It starts at 0 and meets every generator once."""
+    c = (isqrt(5 * n * n) - n + 1) // 2
+    while gcd(c, n) != 1:
+        c += 1
+    return [s * c % n for s in range(n)]
 
 
 class SchemeContext:
@@ -435,10 +448,11 @@ class SchemeContext:
         V_0 is spanned by the all-ones vector.  For j >= 1, column g of
         sum_i alpha_i A_i = prod_{l != j} (A_1 - P_{l,1} I), a nonzero
         multiple of the minimal idempotent E_j, has entries
-        alpha_{dist(g,t)}; the columns are kept greedily, g = 0, 1, ...,
-        while they stay independent modulo `linalg.PRIME`.  The columns of
-        E_j span V_j, so a rank short of the multiplicity m_j raises
-        SchemeError.
+        alpha_{dist(g,t)}; the columns are kept greedily, g in the spread
+        `column_order(n)`, while they stay independent modulo
+        `linalg.PRIME` (a rejected one is never built as a list).  The
+        columns of E_j span V_j, so a rank short of the multiplicity m_j
+        raises SchemeError.
 
         Certificate, trusting neither alpha nor p: the bases are
         independent over Q (independent mod p), every vector passes the
@@ -450,15 +464,17 @@ class SchemeContext:
         if self._eigenbases is not None:
             return self._eigenbases
         d, n = self.d, self.n
-        bases = {0: [[1] * n]}
+        bases, order = {0: [[1] * n]}, column_order(n)
         for j in range(1, d + 1):
             alpha = self._annihilator(j)
             want = self.table.multiplicity(j)
             ech, basis = ModEchelon(n), []
-            for g in range(n):
-                w = [alpha[i] for i in self._distance_row(g)]
-                if ech.add(w):
-                    basis.append(w)
+            enc = [(a % ech.p).to_bytes(ech.nbytes, "little") for a in alpha]
+            for g in order:
+                row = self._distance_row(g)
+                if ech.add(int.from_bytes(b"".join(map(enc.__getitem__, row)),
+                                          "little")):
+                    basis.append([alpha[i] for i in row])
                     if ech.rank == want:
                         break
             if ech.rank != want:

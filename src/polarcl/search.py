@@ -328,6 +328,19 @@ def find_tight_sets(gq: GQ, x_max: int, budget=None) -> SearchResult:
 # -- Cameron-Liebler searches -------------------------------------------------------
 
 
+def meeting_graph(ctx, class_label: str | None = None):
+    """(universe, meets): the generators of Omega or of one class, and for
+    position a the positions b != a whose generators meet universe[a],
+    read off the disjointness relation K."""
+    sp, K, n = ctx.space, ctx.scheme.K, ctx.n
+    if class_label is None:
+        return list(range(n)), [(1 << n) - 1 & ~(K[g] | 1 << g) for g in range(n)]
+    universe, cm = sp.class_members(class_label), sp.class_mask(class_label)
+    at = {g: a for a, g in enumerate(universe)}
+    return universe, [sum(1 << at[h] for h in _bits(cm & ~K[g] & ~(1 << g)))
+                      for g in universe]
+
+
 def find_cl_parameter1(space, class_label: str | None = None,
                        budget=None) -> SearchResult:
     """All parameter-1 Cameron-Liebler sets, by clique search.
@@ -338,19 +351,9 @@ def find_cl_parameter1(space, class_label: str | None = None,
     """
     ctx = get_context(space)
     limit = node_budget(budget)
-    if class_label is None:
-        universe = list(range(ctx.n))
-        target = ctx.pencil
-    else:
-        universe = space.class_members(class_label)
-        target = ctx.class_pencil()
+    universe, meets = meeting_graph(ctx, class_label)
+    target = ctx.pencil if class_label is None else ctx.class_pencil()
     nu = len(universe)
-    meets = [0] * nu
-    for a in range(nu):
-        ga = universe[a]
-        for b in range(nu):
-            if a != b and space.intersection_vdim(ga, universe[b]) > 0:
-                meets[a] |= 1 << b
     res = SearchResult("cl_parameter1")
     clique: list[int] = []
 

@@ -1,8 +1,8 @@
 """Routes that only the tests call: the pair-loop references for the
-scheme's relations and B^t B, the list-based annihilators for
-eigenspace membership, the certified kernel that decides image
-membership by elimination, the GQ line-set report, and small checks
-kept out of the library because nothing in it needs them."""
+scheme's relations, B^t B and the meeting graph, the list-based
+annihilators for eigenspace membership, the certified kernel that
+decides image membership by elimination, the GQ line-set report, and
+small checks kept out of the library because nothing in it needs them."""
 
 from fractions import Fraction
 from functools import cache
@@ -49,6 +49,19 @@ def reference_btb(sch):
             if got != expect:
                 return (u, v, i, got, expect)
     return None
+
+
+def reference_meeting_graph(space, universe):
+    """meets[a]: the positions b != a in `universe` whose generators meet
+    universe[a], from one `intersection_vdim` call per ordered pair."""
+    nu = len(universe)
+    meets = [0] * nu
+    for a in range(nu):
+        ga = universe[a]
+        for b in range(nu):
+            if a != b and space.intersection_vdim(ga, universe[b]) > 0:
+                meets[a] |= 1 << b
+    return meets
 
 
 def rank_of_incidence(sch, k: int) -> int:

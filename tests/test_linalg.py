@@ -69,20 +69,74 @@ def test_eigencheck_width_bound():
 
 
 def test_eigencheck_fooled_below_its_width(monkeypatch):
-    # M = diag(1, 0), lam = -1: (M - lam I) w = (2 w_0, w_1).  For
-    # w = (2^m, -1) the packed sum 2^(m+1) - 2^B vanishes at B = m + 1 =
-    # bits(k max|w|), so a width two bits below the bound is fooled.
-    masks, lam = [0b01, 0b00], -1
+    # M swaps two entries, lam = -1: (M - lam I) w = (w_0 + w_1, w_0 + w_1).
+    # Neither of (2^m, 2^m) and (-1, 0) is an eigenvector; each row of
+    # (M - lam I) W has fields 2^(m+1) and -1, packed 2^(m+1) - 2^B, which
+    # vanishes at B = m + 1 = bits(k max|w|): the first vector's field
+    # carries into the second's and cancels it, so a width two bits below
+    # the bound is fooled.
+    masks, lam = [0b10, 0b01], -1
     for m in (3, 10):
-        w = [2 ** m, -1]
-        assert first_non_eigenvector(masks, lam, [w]) == 0
+        vectors = [[2 ** m, 2 ** m], [-1, 0]]
+        assert first_non_eigenvector(masks, lam, vectors) == 0
         width = eigencheck_width(1, 2 ** m)
         monkeypatch.setattr(linalg, "eigencheck_width", lambda k, p: width - 1)
-        assert first_non_eigenvector(masks, lam, [w]) == 0
+        assert first_non_eigenvector(masks, lam, vectors) == 0
         monkeypatch.setattr(linalg, "eigencheck_width", lambda k, p: width - 2)
-        assert first_non_eigenvector(masks, lam, [w]) is None
+        assert first_non_eigenvector(masks, lam, vectors) is None
         monkeypatch.undo()
 
+
+def _first_non_eigenvector_by_lists(masks, lam, vectors):
+    """The reference: one list matvec per vector."""
+    n = len(masks)
+    for idx, w in enumerate(vectors):
+        if any(sum(w[t] for t in range(n) if masks[s] >> t & 1) != lam * w[s]
+               for s in range(n)):
+            return idx
+    return None
+
+
+def test_eigencheck_matches_list_matvecs():
+    # blow up a random symmetric 0/1 quotient: each class is an
+    # independent set (lam = 0) or a clique (lam = -1), so a zero-sum
+    # vector on one class is an eigenvector; then corrupt one or two
+    rng = random.Random(8)
+    for trial in range(200):
+        lam = rng.choice((0, -1))
+        sizes = [rng.randrange(2, 5) for _ in range(rng.randrange(1, 5))]
+        cls = [c for c, size in enumerate(sizes) for _ in range(size)]
+        n = len(cls)
+        link = {(a, b): rng.random() < 0.5 for a in range(len(sizes))
+                for b in range(a, len(sizes))}
+        adj = [[s != t and (cls[s] == cls[t] and lam == -1
+                            or cls[s] != cls[t] and link[min(cls[s], cls[t]),
+                                                         max(cls[s], cls[t])])
+                for t in range(n)] for s in range(n)]
+        masks = [sum(1 << t for t in range(n) if adj[s][t]) for s in range(n)]
+        vectors = []
+        for _ in range(rng.randrange(1, 6)):
+            c = rng.randrange(len(sizes))
+            members = [t for t in range(n) if cls[t] == c]
+            w = [0] * n
+            for t in members[:-1]:
+                w[t] = rng.randrange(-2 ** rng.randrange(1, 30), 2 ** 29)
+            w[members[-1]] = -sum(w)
+            vectors.append(w)
+        assert first_non_eigenvector(masks, lam, vectors) is None
+        assert _first_non_eigenvector_by_lists(masks, lam, vectors) is None
+        # a column of M - lam I that is nonzero makes a corruption visible
+        live = [t for t in range(n) if masks[t] or lam]
+        if not live:
+            continue
+        bad = sorted(rng.sample(range(len(vectors)),
+                                min(len(vectors), rng.choice((1, 2)))))
+        for idx in bad:
+            vectors[idx][rng.choice(live)] += rng.choice((1, -1, 2 ** 40))
+        got = first_non_eigenvector(masks, lam, vectors)
+        assert got == _first_non_eigenvector_by_lists(masks, lam, vectors) \
+            == bad[0], trial
+    assert first_non_eigenvector(C4, 0, []) is None
 
 
 def test_rref_mod_p_is_reduced_with_the_same_row_space():

@@ -1,6 +1,7 @@
 """The association scheme layer: relations, eigenspaces, incidences."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -9,7 +10,7 @@ from polarcl.counting import gaussian_binomial
 from polarcl.enumeration import get_space_by_name
 from polarcl.geometry import VerificationError
 from polarcl.linalg import _bits
-from polarcl.scheme import RestrictedScheme, SchemeError
+from polarcl.scheme import RestrictedScheme, SchemeError, column_order
 
 from reference import (annihilate, class_image_membership,
                        eigenspace_membership, expanded_annihilator,
@@ -375,7 +376,7 @@ DESK_UP_TO_135 = ["Q+(5,2)", "Q(4,2)", "Q(6,2)", "Q-(5,2)", "W(3,2)",
 def reference_eigenspace_bases(sch):
     """The list-based construction: annihilate each unit vector e_g with d
     list matvecs, giving column g of the annihilator, and keep it if it is
-    independent over Q (IntEchelon)."""
+    independent over Q (IntEchelon); g walks `column_order(n)`."""
     from polarcl.linalg import IntEchelon
     d, n = sch.d, sch.n
     bases = {0: [[1] * n]}
@@ -383,7 +384,7 @@ def reference_eigenspace_bases(sch):
         others = [l for l in range(d + 1) if l != j]
         ech = IntEchelon(n)
         basis = []
-        for g in range(n):
+        for g in column_order(n):
             w = annihilate(sch, [int(t == g) for t in range(n)], others)
             if any(w) and ech.add(w):
                 basis.append(w)
@@ -397,6 +398,38 @@ def reference_eigenspace_bases(sch):
 def test_eigenspace_bases_match_reference(name):
     sch = ctx_of(name)
     assert sch.eigenspace_bases() == reference_eigenspace_bases(sch)
+
+
+def test_column_order_is_a_golden_stride_permutation():
+    phi = (1 + 5 ** 0.5) / 2
+    for n in range(1, 2241):
+        order = column_order(n)
+        assert sorted(order) == list(range(n)), n
+        c = order[1] if n > 1 else 1
+        assert c >= round(n / phi) and all(
+            gcd(b, n) > 1 for b in range(round(n / phi), c)), n
+
+
+# columns `eigenspace_bases` reads over all j >= 1, in perfbench's
+# DESK_SPACES order; each space's floor is n - 1 (V_0 is read off the
+# all-ones vector), and the canonical order 0..n-1 read 1,676 in all
+TRIED_COLUMNS = {"Q+(5,2)": 29, "Q+(7,2)": 280, "Q(4,2)": 16, "Q(6,2)": 137,
+                 "Q-(5,2)": 49, "W(3,2)": 14, "W(3,3)": 45, "W(5,2)": 146,
+                 "H(3,4)": 26, "H(4,4)": 298}
+
+
+def test_columns_tried_on_the_desk_spaces(monkeypatch):
+    from polarcl.scheme import SchemeContext
+    distance_row, tried = SchemeContext._distance_row, []
+
+    def counted(self, u):
+        tried.append(u)
+        return distance_row(self, u)
+    monkeypatch.setattr(SchemeContext, "_distance_row", counted)
+    for name, want in TRIED_COLUMNS.items():
+        tried.clear()
+        _fresh(name).eigenspace_bases()
+        assert len(tried) == want, name
 
 
 def test_annihilator_expansion_matches_matvecs():

@@ -21,10 +21,11 @@ from polarcl.scheme import _bits
 from polarcl.search import (SearchResult, VerificationError,
                             classify_parameter1, find_cl_bounded,
                             find_cl_parameter1, find_regular_systems,
-                            find_spreads, find_tight_sets,
+                            find_spreads, find_tight_sets, meeting_graph,
                             union_of_pencils_decomposition)
 
-from reference import eigenspace_membership, max_disjoint_in
+from reference import (eigenspace_membership, max_disjoint_in,
+                       reference_meeting_graph)
 
 
 def test_spreads_w32():
@@ -111,6 +112,17 @@ def test_cl_parameter1_small():
     assert res.exhaustive and len(res.solutions) == 27
     assert all(classify_parameter1(qm, m) == "point-pencil"
                for m in res.solutions)
+
+
+@pytest.mark.parametrize("name, label", [
+    ("Q(6,2)", None), ("Q+(7,2)", "latin"), ("Q+(7,2)", "greek"),
+    ("W(3,2)", None), ("Q-(5,2)", None), ("Q(6,3)", None)])
+def test_meeting_graph_from_disjointness_matches_pair_loop(name, label):
+    sp = get_space_by_name(name)
+    universe, meets = meeting_graph(get_context(sp), label)
+    assert universe == (list(range(sp.n_generators)) if label is None
+                        else sp.class_members(label))
+    assert meets == reference_meeting_graph(sp, universe)
 
 
 def test_cl_bounded_w32():

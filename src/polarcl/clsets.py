@@ -24,8 +24,9 @@ quadrics with x = |L| / prod_{i=1}^{d-2}(q^i + 1), where all disjointness
 happens inside the class.
 
 Everything below is exact; every test reports a witness on failure.
-(ii) is read off (i), once `test_eigenvector`'s identity is certified
-on the universe, so they are one computation, not independent routes.
+(ii) is read off (i): `test_eigenvector`'s identity is certified once,
+when the set's universe (`scheme.RestrictedScheme`) is built, so they
+are one computation, not independent routes.
 The image test reads statement (iii)'s packed combination, so their
 agreement is the identity S_M = S that `scheme.Image` certifies, not a
 second computation; the incidence certificates of `scheme.Image` tie
@@ -39,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .counting import binom2, gaussian_binomial, pencil_size, qint, qpow
+from .counting import binom2, gaussian_binomial, pencil_size, qpow
 from .enumeration import PolarSpace
 from .geometry import GeometryError, VerificationError
 from .linalg import spread
@@ -80,26 +81,16 @@ class CLContext:
         self.n = space.n_generators
         self.type = space_type(desc)
         self.pencil = pencil_size(self.d, self.e, self.q)
-        self.disjointness = qint(self.q, binom2(self.d - 1) + self.e * (self.d - 1))
-        self._restricted: dict[str, RestrictedScheme] = {}
         self.valid_spreads: set[int] = set()  # masks already checked as spreads
-        self.eigenvector_forms: set = set()  # labels with (ii) = N (i) certified
         # each generator's points as packed fields: a sum over members
         # counts at most n per field, so it never carries
         width = self.n.bit_length()
         self.point_fields = [spread(pm, width) for pm in space.gen_point_masks]
         self.all_points = spread((1 << len(space.points)) - 1, width)
 
-    def restricted(self, label: str) -> RestrictedScheme:
-        if label not in self._restricted:
-            self._restricted[label] = RestrictedScheme(self.scheme, label)
-        return self._restricted[label]
-
-    def class_pencil(self) -> int:
-        v = 1
-        for i in range(1, self.d - 1):
-            v *= self.q ** i + 1
-        return v
+    def restricted(self, label: str | None = None) -> RestrictedScheme:
+        """The universe of Omega (label None) or of one generator class."""
+        return self.scheme.universe(label)
 
 
 _CTX_CACHE: dict = {}
@@ -115,11 +106,10 @@ def get_context(space: PolarSpace) -> CLContext:
 
 @dataclass
 class GenSet:
-    """A set of generators, as a bitmask over Omega.
-
-    `class_label` marks the class-restricted sets of an even-rank
-    hyperbolic quadric; their parameter uses the class pencil size and
-    their tests run in the restricted scheme.
+    """A set of generators, as a bitmask over Omega, within its universe
+    (`CLContext.restricted`): Omega, or with `class_label` one class of an
+    even-rank hyperbolic quadric.  The universe gives the parameter's
+    pencil size and the relations the tests run on.
     """
 
     ctx: CLContext
@@ -129,11 +119,10 @@ class GenSet:
     def __post_init__(self):
         if self.mask < 0 or self.mask >> self.ctx.n:
             raise GeometryError("generator mask out of range")
-        if self.class_label is not None:
-            cm = self.ctx.space.class_mask(self.class_label)
-            if self.mask & ~cm:
-                raise GeometryError(
-                    f"set is not contained in the {self.class_label} class")
+        self.universe = self.ctx.restricted(self.class_label)
+        if self.mask & ~self.universe.mask:
+            raise GeometryError(
+                f"set is not contained in the {self.class_label} class")
 
     @property
     def size(self) -> int:
@@ -141,9 +130,7 @@ class GenSet:
 
     @property
     def x(self) -> Fraction:
-        if self.class_label is None:
-            return Fraction(self.size, self.ctx.pencil)
-        return Fraction(self.size, self.ctx.class_pencil())
+        return Fraction(self.size, self.universe.pencil)
 
     def members(self):
         return list(_bits(self.mask))
@@ -180,25 +167,16 @@ class CLReport:
 # -- the individual tests ------------------------------------------------------
 
 
-def _universe(gs: GenSet):
-    """(positions, mask, q^...) of the set's universe Omega': every
-    generator with q^{C(d-1,2)+e(d-1)}, or its class with q^{C(d-1,2)}."""
-    ctx = gs.ctx
-    if gs.class_label is None:
-        return range(ctx.n), (1 << ctx.n) - 1, ctx.disjointness
-    return (ctx.space.class_members(gs.class_label),
-            ctx.space.class_mask(gs.class_label), qint(ctx.q, binom2(ctx.d - 1)))
-
-
 def test_disjointness_counts(gs: GenSet):
-    """Statement (i): exact disjointness counts against every generator."""
-    positions, _, factor = _universe(gs)
-    x = gs.x * factor
-    if x.denominator != 1:  # no popcount matches: the first position fails
-        return False, positions[0]
-    expect = (x.numerator, x.numerator - factor)  # indexed by chi_pi
+    """Statement (i): exact disjointness counts against every generator of
+    the universe."""
+    members, f = gs.universe.members, gs.universe.f
+    x = gs.x * f
+    if x.denominator != 1:  # no popcount matches: the first member fails
+        return False, members[0]
+    expect = (x.numerator, x.numerator - f)  # indexed by chi_pi
     K, mask = gs.ctx.scheme.K, gs.mask
-    for pi in positions:
+    for pi in members:
         if (K[pi] & mask).bit_count() != expect[(mask >> pi) & 1]:
             return False, pi
     return True, None
@@ -213,31 +191,23 @@ def test_eigenvector(gs: GenSet):
     one is.  As chi is 0/1, (K w - lam w)_pi is
     N |K_pi ^ L| + f N chi_pi - |L| (k' + f) with k' = |K_pi ^ U|: N times
     statement (i)'s difference at pi once p (k' + f) = N f, p the pencil
-    size.  That is certified once per universe, and (ii) is read off (i);
-    the witness is (i)'s pi as a position in the universe (an index into
-    K w).
+    size.  The universe certifies that when it is built, and (ii) is read
+    off (i); the witness is (i)'s pi as a position in the universe (an
+    index into K w).
     """
     return _eigenvector_from(gs, test_disjointness_counts(gs))
 
 
 def _eigenvector_from(gs: GenSet, verdict):
     """Statement (ii)'s (verdict, witness) from statement (i)'s."""
-    ctx, (_, universe, f) = gs.ctx, _universe(gs)
-    if gs.class_label not in ctx.eigenvector_forms:
-        p = ctx.pencil if gs.class_label is None else ctx.class_pencil()
-        want = Fraction(universe.bit_count() * f, p) - f  # k'
-        for pi in _bits(universe):
-            if (got := (ctx.scheme.K[pi] & universe).bit_count()) != want:
-                raise VerificationError(f"statement (ii) from (i): |K_{pi} ^ U| "
-                                        f"is {got}, expected N f / p - f = {want}")
-        ctx.eigenvector_forms.add(gs.class_label)
     ok, pi = verdict
-    return ok, None if pi is None else (universe & ((1 << pi) - 1)).bit_count()
+    return ok, None if pi is None else (
+        gs.universe.mask & ((1 << pi) - 1)).bit_count()
 
 
 def test_eigenspace(gs: GenSet):
-    """Statement (iii): chi in the type-dependent orthogonal sum of V_j."""
-    S = {0, 1} if gs.class_label else eigenspace_indices(gs.ctx.space.desc)
+    """Statement (iii): chi in the universe's orthogonal sum of V_j."""
+    S = gs.universe.S
     T = gs.ctx.scheme.combination(S, gs.class_label)
     return T.witness(gs.mask) is None, sorted(S)
 
@@ -360,9 +330,7 @@ def is_regular_system(gs: GenSet, m: int) -> bool:
 def construct_point_pencil(ctx: CLContext, point_idx: int,
                            class_label: str | None = None) -> GenSet:
     mask = ctx.space.point_gen_masks()[point_idx]
-    if class_label is not None:
-        mask &= ctx.space.class_mask(class_label)
-    return GenSet(ctx, mask, class_label)
+    return GenSet(ctx, mask & ctx.restricted(class_label).mask, class_label)
 
 
 def construct_hyperbolic_class(ctx: CLContext, idx: int) -> GenSet:
@@ -419,11 +387,7 @@ def construct_base_solid(ctx: CLContext, center: int, class_label: str) -> GenSe
 
 
 def complement(gs: GenSet) -> GenSet:
-    if gs.class_label is None:
-        full = (1 << gs.ctx.n) - 1
-    else:
-        full = gs.ctx.space.class_mask(gs.class_label)
-    return GenSet(gs.ctx, full & ~gs.mask, gs.class_label)
+    return GenSet(gs.ctx, gs.universe.mask & ~gs.mask, gs.class_label)
 
 
 def union(a: GenSet, b: GenSet) -> GenSet:
@@ -455,11 +419,15 @@ def _require_integral(v, i, x):
                                 f"x = {x}, expected an integer")
 
 
-def expected_profile_type_I(d: int, e, q: int, x, member: bool):
+def expected_profile_type_I(d: int, e, q: int, x, member: bool,
+                            distances=None):
+    """n_i at each distance i in `distances` (0..d by default).  On a class
+    of Q+(2d-1,q) the class-restricted profile is this at e = 0 over the
+    even i, as A'_i = A_{2i}."""
     out = []
     e = Fraction(e)
     x = Fraction(x)
-    for i in range(d + 1):
+    for i in range(d + 1) if distances is None else distances:
         scale = qpow(q, binom2(i - 1) + (i - 1) * e)
         if member:
             v = ((x - 1) * gaussian_binomial(d - 1, i - 1, q)
@@ -471,41 +439,21 @@ def expected_profile_type_I(d: int, e, q: int, x, member: bool):
     return out
 
 
-def expected_profile_class(d: int, q: int, x, member: bool):
-    """Class-restricted profile over i = 0..d/2 (intersection in a
-    (d-2i-1)-space)."""
-    out = []
-    x = Fraction(x)
-    for i in range(d // 2 + 1):
-        scale = qpow(q, binom2(2 * i - 1))
-        if member:
-            v = ((x - 1) * gaussian_binomial(d - 1, 2 * i - 1, q)
-                 + qpow(q, 2 * i - 1) * gaussian_binomial(d - 1, 2 * i, q)) * scale
-        else:
-            v = x * gaussian_binomial(d - 1, 2 * i - 1, q) * scale
-        _require_integral(v, i, x)
-        out.append(v.numerator)
-    return out
-
-
 def profile_verdict(gs: GenSet, pi: int):
-    """Compare the brute-force profile with the closed form.
+    """Compare the brute-force profile over the universe's relations,
+    n_t = |A'_t[pi] ^ L|, with the closed form.
 
     Returns (verdict, got, expected); verdict is None ("not applicable")
-    outside type I full sets and class-restricted sets, where no closed
-    form holds.
+    unless statement (iii)'s S is {0, 1}, so that a Cameron-Liebler chi
+    lies in V'_0 + V'_1, where x and chi_pi fix every n_t: on type I
+    spaces, on a class and on Q+(3,q), but no other space of types II-IV.
     """
-    ctx = gs.ctx
-    member = bool((gs.mask >> pi) & 1)
-    if gs.class_label is not None:
-        got = [(ctx.scheme.A[2 * i][pi] & gs.mask).bit_count()
-               for i in range(ctx.d // 2 + 1)]
-        exp = expected_profile_class(ctx.d, ctx.q, gs.x, member)
-        return got == exp, got, exp
-    got = intersection_profile(gs, pi)
-    if ctx.type != "I":
+    ctx, u = gs.ctx, gs.universe
+    got = [(row[pi] & gs.mask).bit_count() for row in u.rows]
+    if u.S != {0, 1}:
         return None, got, None
-    exp = expected_profile_type_I(ctx.d, ctx.e, ctx.q, gs.x, member)
+    exp = expected_profile_type_I(ctx.d, ctx.e, ctx.q, gs.x,
+                                  bool((gs.mask >> pi) & 1), u.distances)
     return got == exp, got, exp
 
 

@@ -65,15 +65,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
-from .counting import (EigenvalueTable, intersection_numbers, multiplicity,
-                       parameter_b, parameter_c)
+from .counting import (EigenvalueTable, binom2, intersection_numbers,
+                       multiplicity, parameter_b, parameter_c, pencil_size, qint)
 from .enumeration import PolarSpace
-from .geometry import VerificationError
+from .geometry import GeometryError, VerificationError
 from .linalg import (ModEchelon, _bits, _primitive, first_non_eigenvector,
                      spread)
 
 
-class SchemeError(RuntimeError):
+class SchemeError(VerificationError):
     pass
 
 
@@ -173,28 +173,29 @@ class Combination:
 
 
 class Image:
-    """im(M^t) for the incidence M = `which` (row masks `rows`) on Omega or
-    on class `label`: `witness(L)` is None iff chi_L lies in it, and
-    `rank` is the sum of the m_j over S_M.  Certified at build: S_M is
-    statement (iii)'s S, so T is (iii)'s Combination; and M T = 0, one
-    witness per row of M.  T is symmetric, so chi = M^t y would give
-    T chi = (M T)^t y = 0: a "not in" follows from the incidence alone.
-    For "in", G = sum_i gamma_i A'_i acts as s / theta_j on V_j, j in S_M,
-    and as 0 elsewhere (P' y = D c, c_j = L / theta_j, L = lcm theta_j;
-    gamma is y over its content g, s = D L / g), so M^t M G chi = s chi."""
+    """im(M^t) for the incidence M = `which` (row masks `rows`) on the
+    universe `u` (a `RestrictedScheme`): `witness(L)` is None iff chi_L
+    lies in it, and `rank` is the sum of the m_j over S_M.  Certified at
+    build: S_M is statement (iii)'s S, so T is (iii)'s Combination; and
+    M T = 0, one witness per row of M.  T is symmetric, so chi = M^t y
+    would give T chi = (M T)^t y = 0: a "not in" follows from the incidence
+    alone.  For "in", G = sum_i gamma_i A'_i acts as s / theta_j on V_j,
+    j in S_M, and as 0 elsewhere (P' y = D c, c_j = L / theta_j,
+    L = lcm theta_j; gamma is y over its content g, s = D L / g), so
+    M^t M G chi = s chi."""
 
-    def __init__(self, ctx, which: str, rows, S, label=None):
-        T = ctx.combination(S, label)
-        P, self._R, self._U, self.rows = T.P, T.rows, T.universe, rows
-        theta = image_support(which, ctx.d, ctx.space.desc.q, P)
-        self.name = f"{ctx.space.name()} M = {which}" + (
-            f" on the {label} class" if label else "")
-        if set(theta) != S:
+    def __init__(self, u, which: str, rows):
+        T = u.ctx.combination(u.S, u.label)
+        P, self._R, self._U, self.rows = u.P, u.rows, u.mask, rows
+        theta = image_support(which, u.ctx.d, u.ctx.space.desc.q, P)
+        self.name = f"{u.ctx.space.name()} M = {which}" + (
+            f" on the {u.label} class" if u.label else "")
+        if set(theta) != u.S:
             raise VerificationError(
                 f"{self.name}: M^t M is nonzero on V_j for j in S_M = "
-                f"{sorted(theta)}, expected statement (iii)'s S = {sorted(S)}")
+                f"{sorted(theta)}, expected statement (iii)'s S = {sorted(u.S)}")
         self.witness = T.witness
-        self.rank = sum(multiplicity(P, j, self._U.bit_count()) for j in S)
+        self.rank = sum(multiplicity(P, j, u.N) for j in u.S)
         for r, m in enumerate(rows):
             if hit := T.first_field(sum([T.cols[g] for g in _bits(m)])):
                 raise VerificationError(f"{self.name}: entry ({r}, {hit[0]}) "
@@ -267,6 +268,7 @@ class SchemeContext:
         self.P = self.table.P
         self.A = self._relations()
         self.K = self.A[self.d]
+        self._universes = {}
         self._combinations = {}
         self._C = {}
         self._B = None
@@ -403,14 +405,18 @@ class SchemeContext:
             out.append(acc)
         return out
 
+    def universe(self, label=None) -> RestrictedScheme:
+        """The cached universe: Omega, or the generator class `label`."""
+        if label not in self._universes:
+            self._universes[label] = RestrictedScheme(self, label)
+        return self._universes[label]
+
     def combination(self, S, label=None) -> Combination:
-        """The cached T of statement (iii) for S, on Omega or class `label`."""
+        """The cached T of statement (iii) for S on the universe of `label`."""
         key = frozenset(S), label
         if key not in self._combinations:
-            self._combinations[key] = Combination(key[0], *(
-                (self.P, self.A, (1 << self.n) - 1) if label is None else
-                (RestrictedScheme(self, label).P, self.A[::2],
-                 self.space.class_mask(label))))
+            u = self.universe(label)
+            self._combinations[key] = Combination(key[0], u.P, u.rows, u.mask)
         return self._combinations[key]
 
     # -- image membership ------------------------------------------------------
@@ -426,8 +432,7 @@ class SchemeContext:
                     "(B^t B)_{{{}, {}}} at distance {} is {}, expected {}"
                     .format(*bad))
             rows = self.space.point_gen_masks() if which == "A" else self.build_B()
-            self._image_bases[which] = Image(
-                self, which, rows, eigenspace_indices(self.space.desc))
+            self._image_bases[which] = Image(self.universe(), which, rows)
         return self._image_bases[which]
 
     # -- eigenspace bases (from the annihilator columns) -------------------------
@@ -497,29 +502,50 @@ class SchemeContext:
 
 
 class RestrictedScheme:
-    """The floor(d/2)-class scheme on one generator class of Q+(2d-1,q).
+    """The universe U of one family of generator sets: all of Omega when
+    `label` is None, else one generator class of Q+(2d-1,q), d even, with
+    its floor(d/2)-class scheme.  There A'_i is A_{2i} restricted to the
+    class, and its eigenvalue on the restricted eigenspace V'_j is
+    P'_{j,i} = P_{j,2i}; on Omega A'_i = A_i and P' = P.
 
-    A'_i is A_{2i} restricted to the class; the eigenvalue of A'_i on the
-    restricted eigenspace V'_j is P'_{j,i} = P_{j,2i}.  Statement (iii)
-    reads `SchemeContext.combination(S, label)`.
+    It holds U's mask, members and N = |U|, the distances i of its
+    relations A'_t = A_{distances[t]} with their rows and P', statement
+    (iii)'s S, the pencil size p (a set's parameter is x = |L| / p) and
+    f = q^{C(d-1,2)+e(d-1)}, the disjointness count of statement (i) (e = 0
+    on a class).  At build it certifies p (k' + f) = N f, k' = |K_g ^ U|
+    for every g in U, the identity that reads statement (ii) off (i)
+    (`clsets.test_eigenvector`); a miss raises VerificationError.
+    `SchemeContext.universe` caches one per label.
     """
 
-    def __init__(self, ctx: SchemeContext, label: str):
-        sp = ctx.space
-        if sp.class_labels is None:
-            raise SchemeError("restricted scheme needs a hyperbolic quadric")
-        if sp.d % 2 != 0:
-            raise SchemeError("restricted class scheme needs even rank")
+    def __init__(self, ctx: SchemeContext, label: str | None = None):
+        sp, d = ctx.space, ctx.d
+        q, e = sp.desc.q, Fraction(sp.desc.e)
         self.ctx, self.label = ctx, label
-        self.members = sp.class_members(label)
-        self.P = [row[::2] for row in ctx.P[:sp.d // 2 + 1]]
+        if label is None:
+            self.mask, self.members = (1 << ctx.n) - 1, list(range(ctx.n))
+            self.S, self.pencil = eigenspace_indices(sp.desc), pencil_size(d, e, q)
+        else:
+            if sp.desc.family != "Q+" or d % 2:
+                raise GeometryError(f"{sp.name()} has no class-restricted sets: "
+                                    "they need a hyperbolic quadric of even rank")
+            self.mask, self.members = sp.class_mask(label), sp.class_members(label)
+            self.S, self.pencil = {0, 1}, prod(q ** i + 1 for i in range(1, d - 1))
+        self.N, self.f = len(self.members), qint(q, binom2(d - 1) + e * (d - 1))
+        self.distances = range(0, d + 1, 1 if label is None else 2)
+        self.rows = [ctx.A[i] for i in self.distances]
+        self.P = [[row[i] for i in self.distances]
+                  for row in ctx.P[:len(self.distances)]]
+        want = Fraction(self.N * self.f, self.pencil) - self.f  # k'
+        for g in self.members:
+            if (got := (ctx.K[g] & self.mask).bit_count()) != want:
+                raise VerificationError(f"statement (ii) from (i): |K_{g} ^ U| "
+                                        f"is {got}, expected N f / p - f = {want}")
         self._image_basis_cache = None
 
     def image_basis(self) -> Image:
-        """im(A'^t), A' = points x class generators; see `Image`."""
+        """im(A'^t) on a class, A' = points x class generators; see `Image`."""
         if self._image_basis_cache is None:
-            cm = self.ctx.space.class_mask(self.label)
-            self._image_basis_cache = Image(
-                self.ctx, "A'", [pm & cm for pm in self.ctx.space.point_gen_masks()],
-                {0, 1}, self.label)
+            rows = [pm & self.mask for pm in self.ctx.space.point_gen_masks()]
+            self._image_basis_cache = Image(self, "A'", rows)
         return self._image_basis_cache

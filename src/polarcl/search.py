@@ -329,16 +329,13 @@ def find_tight_sets(gq: GQ, x_max: int, budget=None) -> SearchResult:
 
 
 def meeting_graph(ctx, class_label: str | None = None):
-    """(universe, meets): the generators of Omega or of one class, and for
-    position a the positions b != a whose generators meet universe[a],
+    """(universe, meets): the members of the universe of `class_label`, and
+    for position a the positions b != a whose generators meet universe[a],
     read off the disjointness relation K."""
-    sp, K, n = ctx.space, ctx.scheme.K, ctx.n
-    if class_label is None:
-        return list(range(n)), [(1 << n) - 1 & ~(K[g] | 1 << g) for g in range(n)]
-    universe, cm = sp.class_members(class_label), sp.class_mask(class_label)
-    at = {g: a for a, g in enumerate(universe)}
-    return universe, [sum(1 << at[h] for h in _bits(cm & ~K[g] & ~(1 << g)))
-                      for g in universe]
+    u, K = ctx.restricted(class_label), ctx.scheme.K
+    at = {g: 1 << a for a, g in enumerate(u.members)}
+    return u.members, [sum(at[h] for h in _bits(u.mask & ~(K[g] | 1 << g)))
+                       for g in u.members]
 
 
 def find_cl_parameter1(space, class_label: str | None = None,
@@ -352,7 +349,7 @@ def find_cl_parameter1(space, class_label: str | None = None,
     ctx = get_context(space)
     limit = node_budget(budget)
     universe, meets = meeting_graph(ctx, class_label)
-    target = ctx.pencil if class_label is None else ctx.class_pencil()
+    target = ctx.restricted(class_label).pencil
     nu = len(universe)
     res = SearchResult("cl_parameter1")
     clique: list[int] = []
@@ -395,7 +392,8 @@ def find_cl_bounded(space, x_max: int, budget=None) -> SearchResult:
 
     One pass per x, in/out decisions over the generators, each decided
     generator pinned to its disjointness count (a member finishes with
-    exactly (x-1) D chosen disjoint generators, a non-member with x D).
+    exactly (x-1) f chosen disjoint generators, a non-member with x f,
+    f = q^{C(d-1,2)+e(d-1)}).
     On type I spaces the whole intersection distribution is forced, so
     every distance class i >= 1 is pinned to its own exact target.
     Every completed candidate is re-verified by the full battery before
@@ -403,7 +401,7 @@ def find_cl_bounded(space, x_max: int, budget=None) -> SearchResult:
     """
     ctx = get_context(space)
     limit = node_budget(budget)
-    d, A = ctx.d, ctx.scheme.A
+    d, A, f = ctx.d, ctx.scheme.A, ctx.restricted().f
     res = SearchResult("cl_bounded", meta={"by_parameter": {}})
     for x in range(1, x_max + 1):
         if ctx.type == "I":
@@ -411,8 +409,7 @@ def find_cl_bounded(space, x_max: int, budget=None) -> SearchResult:
             out = expected_profile_type_I(d, ctx.e, ctx.q, x, False)
             rels = [(A[i], A[i], (mem[i], out[i])) for i in range(1, d + 1)]
         else:
-            rels = [(A[d], A[d], ((x - 1) * ctx.disjointness,
-                                  x * ctx.disjointness))]
+            rels = [(A[d], A[d], ((x - 1) * f, x * f))]
         found = sorted(_in_out(res, limit, ctx.n, x * ctx.pencil, rels,
                                lambda mask: check_cl(GenSet(ctx, mask)).is_cl))
         res.meta["by_parameter"][x] = found
@@ -434,11 +431,9 @@ def classify_parameter1(space, mask: int, class_label=None) -> str:
         if not common:
             break
     if common:
+        cm = ctx.restricted(class_label).mask
         for p in _bits(common):
-            pm = space.point_gen_masks()[p]
-            if class_label is not None:
-                pm &= space.class_mask(class_label)
-            if pm == mask:
+            if space.point_gen_masks()[p] & cm == mask:
                 return "point-pencil"
     desc = space.desc
     if class_label is None and space_type(desc) == "III":

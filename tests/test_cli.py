@@ -226,6 +226,20 @@ def test_verification_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_scheme_failure_in_the_suite_exits_1(capsys, monkeypatch):
+    # modulo 5 the annihilator columns lose rank, and the bases raise
+    # SchemeError: a failed verification, not a traceback
+    from polarcl import clsets, linalg
+    monkeypatch.setattr(linalg, "PRIME", 5)
+    monkeypatch.setattr(clsets, "_CTX_CACHE", {})  # no bases built before
+    capsys.readouterr()
+    assert run(["suite"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("polarcl: verification failed: columns of the "
+                          "annihilator reach rank"), err
+    assert "modulo p = 5" in err and "Traceback" not in err
+
+
 def test_suite_manifest_records_the_corpus_seed(tmp_path, monkeypatch):
     from polarcl import suite
     passed = suite.CriterionResult(1, "count oracle", True, "stub")
@@ -321,6 +335,19 @@ def _search_arg(target, flag, value, message, *extra):
     return case
 
 
+def _class_on_odd_rank(*argv):
+    """A --class flag on Q+(5,2): its generator classes hold no
+    class-restricted sets, as those need an even rank."""
+    def case(tmp_path):
+        space_file = tmp_path / "qp52.json"
+        run(["space", "enumerate", "--space-name", "Q+(5,2)", "--out",
+             str(space_file)])
+        (tmp_path / "one.txt").write_text("idx:0\n")
+        return ([a.format(space=space_file, dir=tmp_path) for a in argv],
+                "Q+(5,2) has no class-restricted sets")
+    return case
+
+
 BAD_INPUTS = {
     "space-without-manifest": _no_manifest,
     "point-past-the-last": _construct_arg("--point", "9999", "point_pencil"),
@@ -339,6 +366,15 @@ BAD_INPUTS = {
     "regular-limit-zero": _search_arg("regular", "--limit", "0",
                                       "--limit must be at least 1, got 0",
                                       "--m", "1", "--eigenspaces", "0,2"),
+    "construct-class-on-odd-rank": _class_on_odd_rank(
+        "construct", "--space", "{space}", "--kind", "point_pencil",
+        "--class", "latin", "--out", "{dir}/set.txt"),
+    "check-class-on-odd-rank": _class_on_odd_rank(
+        "check", "--space", "{space}", "--set", "{dir}/one.txt",
+        "--class", "latin"),
+    "search-cl-class-on-odd-rank": _class_on_odd_rank(
+        "search", "cl", "--space", "{space}", "--class", "latin",
+        "--out", "{dir}/res.json"),
 }
 
 

@@ -12,10 +12,9 @@ from polarcl.clsets import (CLContext, GenSet, VerificationError, check_cl,
                             construct_base_solid, construct_embedded,
                             construct_hyperbolic_class,
                             construct_point_pencil, difference,
-                            eigenspace_indices, expected_profile_class,
-                            expected_profile_type_I, get_context,
-                            intersection_profile, is_regular_system,
-                            profile_verdict, space_type,
+                            eigenspace_indices, expected_profile_type_I,
+                            get_context, intersection_profile,
+                            is_regular_system, profile_verdict, space_type,
                             union, z_profile)
 from polarcl.clsets import test_disjointness_counts as disjointness_test
 from polarcl.clsets import test_eigenspace as eigenspace_test
@@ -285,6 +284,16 @@ def test_intersection_distribution_examples():
     hc = construct_hyperbolic_class(q6, 0)
     ok, got, exp = profile_verdict(hc, hc.members()[0])
     assert ok is None and exp is None
+    # nor to full sets of an even-rank hyperbolic quadric, where S has d - 1
+    ok, _, exp = profile_verdict(construct_point_pencil(qp7, 0), 0)
+    assert ok is None and exp is None
+    # but the grid Q+(3,2) has S = {0, 1}, so its Cameron-Liebler sets
+    # follow the closed form: two disjoint pencils, x = 2
+    grid = ctx_of("Q+(3,2)")
+    rows = grid.space.point_gen_masks()
+    two = GenSet(grid, rows[0] | next(r for r in rows if not r & rows[0]))
+    assert two.x == 2 and check_cl(two).is_cl
+    assert all(profile_verdict(two, g)[0] is True for g in range(grid.n))
 
 
 def test_z_profile():
@@ -430,7 +439,7 @@ def reference_eigenvector(gs):
     with N the closed-form generator count (class size on a class)."""
     ctx = gs.ctx
     if gs.class_label is None:
-        lam = -ctx.disjointness
+        lam = -qint(ctx.q, binom2(ctx.d - 1) + ctx.e * (ctx.d - 1))
         w = [num_generators(ctx.d, ctx.e, ctx.q) * c - gs.size for c in gs.chi()]
         kw = ctx.scheme.matvec_mask(ctx.scheme.K, w)
     else:
@@ -535,7 +544,8 @@ def _regular_rows_zeroed(monkeypatch):
     pytest.param(_regular_rows_zeroed, id="regular-routes-disagree"),
     pytest.param(lambda mp: expected_profile_type_I(2, 1, 2, Fraction(1, 3), False),
                  id="profile-type-I"),
-    pytest.param(lambda mp: expected_profile_class(4, 2, Fraction(1, 3), False),
+    pytest.param(lambda mp: expected_profile_type_I(4, 0, 2, Fraction(1, 3), False,
+                                                    range(0, 5, 2)),
                  id="profile-class"),
 ])
 def test_failed_verification_raises(monkeypatch, route):
@@ -560,11 +570,10 @@ def test_tampered_disjointness_degree_raises(name, label):
     members = ctx.space.class_members(label) if label else range(ctx.n)
     pi, t = members[3], members[7]
     ctx.scheme.K[pi] ^= 1 << t
-    gs = GenSet(ctx, 0, label)
     with pytest.raises(VerificationError, match=rf"\|K_{pi} \^ U\| is"):
-        eigenvector_test(gs)
+        eigenvector_test(GenSet(ctx, 0, label))
     with pytest.raises(VerificationError, match=rf"\|K_{pi} \^ U\| is"):
-        check_cl(gs)
+        check_cl(GenSet(ctx, 0, label))
 
 
 @pytest.mark.under_optimize("test_tampered_disjointness_degree_raises")

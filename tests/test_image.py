@@ -1,15 +1,18 @@
-"""Image membership from the Gram element M^t M: the closed-form S_M table
-against statement (iii)'s S, the ranks, the preimage certificate, and
-each certificate under tampering."""
+"""Image membership from the Gram element M^t M: the closed-form
+characterisation table (statement (i)'s kernel and S_M against statement
+(iii)'s S), the ranks, the preimage certificate, and each certificate
+under tampering."""
 
 import re
+from fractions import Fraction
+from math import prod
 
 import pytest
 
 import polarcl.scheme as scheme
 from polarcl.clsets import (construct_hyperbolic_class, construct_point_pencil,
                             get_context, space_type)
-from polarcl.counting import EigenvalueTable
+from polarcl.counting import EigenvalueTable, binom2, pencil_size, qint
 from polarcl.enumeration import get_space_by_name
 from polarcl.geometry import VerificationError, descriptor
 from polarcl.scheme import (Image, SchemeContext, eigenspace_indices,
@@ -17,13 +20,13 @@ from polarcl.scheme import (Image, SchemeContext, eigenspace_indices,
 
 from reference import image_kernel
 
-QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25)
+QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25)  # prime powers <= 25
 HERMITIAN_QS = (4, 9, 16, 25)
 
 
 def _descriptors():
     """All five families at d = 2..7, the Hermitian ones in both ambient
-    dimensions: 312 spaces, none enumerated."""
+    dimensions: 384 spaces, none enumerated."""
     for d in range(2, 8):
         for q in QS:
             for family in ("Q+", "Q-", "Q", "W"):
@@ -33,11 +36,26 @@ def _descriptors():
                 yield descriptor("H", d, q, dim)
 
 
+def _statement_i_kernel(P, p, f) -> set[int]:
+    """{j : theta_j = 0} for T_K = f (p-1) A'_0 - f sum_{0<i<m} A'_i
+    + (p-f) A'_m, A'_m the disjointness relation: statement (i) reads
+    T_K chi = p K chi + p f chi - f |L| j = 0, so it holds exactly on the
+    sum of the V'_j where the eigenvalue theta_j of T_K vanishes."""
+    return {j for j, row in enumerate(P)
+            if f * (p - 1) * row[0] - f * sum(row[1:-1]) + (p - f) * row[-1] == 0}
+
+
 def test_image_support_matches_the_characterisation_table():
+    # the paper's table as algebra on the closed-form eigenvalues: (i) <=>
+    # (iii) on every space and class, and the image statement where
+    # `space_type` claims one; this guards the hand-written `space_type`
+    # and `eigenspace_indices` tables
     seen = {"I": 0, "II": 0, "III": 0, "IV": 0}
     for desc in _descriptors():
-        d, q = desc.rank, desc.q
-        P, S = EigenvalueTable(d, desc.e, q).P, eigenspace_indices(desc)
+        d, q, e = desc.rank, desc.q, Fraction(desc.e)
+        P, S = EigenvalueTable(d, e, q).P, eigenspace_indices(desc)
+        f = qint(q, binom2(d - 1) + e * (d - 1))  # also the class's: e = 0
+        assert _statement_i_kernel(P, pencil_size(d, e, q), f) == S, desc.name()
         kind = space_type(desc)
         seen[kind] += 1
         if kind == "I":
@@ -46,10 +64,17 @@ def test_image_support_matches_the_characterisation_table():
             assert set(image_support("B", d, q, P)) == S, desc.name()
         elif kind == "II":
             P_class = [row[::2] for row in P[:d // 2 + 1]]
+            p_class = prod(q ** i + 1 for i in range(1, d - 1))
+            assert _statement_i_kernel(P_class, p_class, f) == {0, 1}, desc.name()
             assert set(image_support("A'", d, q, P_class)) == {0, 1}, desc.name()
         else:  # no image characterisation: A misses a V_j of S
             assert set(image_support("A", d, q, P)) != S, desc.name()
-    assert sum(seen.values()) == 312 and all(seen.values()), seen
+    assert seen == {"I": 258, "II": 42, "III": 54, "IV": 30}, seen
+
+
+@pytest.mark.under_optimize("test_image_support_matches_the_characterisation_table")
+def test_characterisation_table_under_optimize(run_under_optimize):
+    run_under_optimize(1)
 
 
 DESK = ["Q+(5,2)", "Q+(7,2)", "Q(4,2)", "Q(6,2)", "Q-(5,2)",

@@ -8,7 +8,7 @@ import pytest
 from polarcl.clsets import get_context
 from polarcl.counting import gaussian_binomial
 from polarcl.enumeration import get_space_by_name
-from polarcl.geometry import VerificationError
+from polarcl.geometry import GeometryError, VerificationError
 from polarcl.linalg import _bits
 from polarcl.scheme import RestrictedScheme, SchemeError, column_order
 
@@ -234,7 +234,7 @@ def test_restricted_image_rank():
 
 
 def test_restricted_needs_even_rank():
-    with pytest.raises(SchemeError):
+    with pytest.raises(GeometryError, match=r"Q\+\(5,2\) has no class-restricted"):
         RestrictedScheme(ctx_of("Q+(5,2)"), "latin")
 
 
@@ -562,6 +562,30 @@ def test_pair_walks_report_the_first_failing_pair():
     assert witness is not None
     assert witness == reference_intersection_witness(
         sch, intersection_numbers(3, 1, 2))
+
+
+def test_btb_fires_at_an_odd_distance():
+    # add to the class B[0] a generator v adjacent to its least member x:
+    # the first row off is x, at the odd distance 1, where B^t B must be 0
+    sch = _fresh("Q(6,2)")
+    B = list(sch.build_B())
+    x = (B[0] & -B[0]).bit_length() - 1
+    v = next(_bits(sch.A[1][x] & ~B[0] & -(2 << x)))  # v > x, v not in B[0]
+    B[0] |= 1 << v
+    sch._B = B
+    assert sch.verify_BtB() == (x, v, 1, 1, 0) == reference_btb(sch)
+
+
+def test_regularity_fires_on_b_alone(monkeypatch):
+    # b_1 one too large and every c_i right: only the b test can object
+    import polarcl.scheme as scheme
+    sch = ctx_of("Q(6,2)")
+    params, _ = sch.verify_distance_regularity()
+    b = [x + (i == 1) for i, x in enumerate(params["b"])]
+    monkeypatch.setattr(scheme, "parameter_b", lambda d, e, q, i: b[i])
+    got, witness = sch.verify_distance_regularity()
+    assert got is None and witness[2:4] == ("b", 1)
+    assert witness == reference_regularity_witness(sch, b, params["c"])
 
 
 def _tampered_b_row():

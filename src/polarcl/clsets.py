@@ -407,12 +407,6 @@ def difference(a: GenSet, b: GenSet) -> GenSet:
 # -- intersection distributions ---------------------------------------------------
 
 
-def intersection_profile(gs: GenSet, pi: int):
-    """n_i = members of L meeting generator pi in a (d-i-1)-space."""
-    ctx = gs.ctx
-    return [(ctx.scheme.A[i][pi] & gs.mask).bit_count() for i in range(ctx.d + 1)]
-
-
 def _require_integral(v, i, x):
     if v.denominator != 1:
         raise VerificationError(f"closed-form profile entry {i} is {v} at "

@@ -68,10 +68,7 @@ def _divide(num, den, what: str) -> int:
 
 
 def qint(q: int, exp) -> int:
-    v = qpow(q, exp)
-    if v.denominator != 1:
-        raise CountingError(f"q^{exp} = {v} is not an integer")
-    return v.numerator
+    return _integral(qpow(q, exp), f"q^{exp}")
 
 
 @lru_cache(maxsize=None)
@@ -120,11 +117,9 @@ def num_kspaces_through_mspace(d: int, e, q: int, k: int, m: int) -> int:
 
 
 def pencil_size(d: int, e, q: int) -> int:
-    """Generators through a fixed point: prod_{i=0}^{d-2} (q^{e+i} + 1)."""
-    v = Fraction(1)
-    for i in range(d - 1):
-        v *= qpow(q, Fraction(e) + i) + 1
-    return _integral(v, "pencil size")
+    """Generators through a fixed point: prod_{i=0}^{d-2} (q^{e+i} + 1),
+    the generator count of the rank d - 1 residue."""
+    return num_generators(d - 1, e, q)
 
 
 def regular_system_size(d: int, e, q: int, m: int) -> int:
@@ -168,9 +163,7 @@ def eigenvalue(j: int, i: int, d: int, e, q: int) -> int:
                         * gaussian_binomial(j, u, q))
         term *= qpow(q, binom2(u + i - j) + binom2(j - u) + e * (u + i - j))
         total += term
-    if total.denominator != 1:
-        raise CountingError(f"P_{{{j},{i}}} = {total} is not an integer")
-    return total.numerator
+    return _integral(total, f"P_{{{j},{i}}}")
 
 
 def eigenvalue_disjointness(j: int, d: int, e, q: int) -> int:
@@ -185,42 +178,57 @@ def eigenvalue_disjointness(j: int, d: int, e, q: int) -> int:
 class EigenvalueTable:
     """The full (d+1) x (d+1) table P[j][i] of exact scheme eigenvalues.
 
-    Construction checks that the P_{j,1} are pairwise distinct (the
-    basis annihilators of `scheme` need it); that row 0 and column d agree
-    with the degrees and the disjointness closed form; and that each row
-    is a character of the algebra of the closed-form intersection numbers,
-    P_{j,i} P_{j,l} = sum_k p^k_{il} P_{j,k}, so the d + 1 distinct rows are
-    all its characters.  A mismatch raises CountingError.
+    Construction checks that row 0 and column d agree with the degrees
+    and the disjointness closed form; that the rows are the characters of
+    the algebra of the closed-form intersection numbers, with the P_{j,1}
+    pairwise distinct (`character_problem`), so the d + 1 distinct rows
+    are all its characters; and the orthogonality relation
+    sum_j m_j P_{j,i} P_{j,l} = n k_i delta_il, n the closed-form generator
+    count, which fixes the multiplicities m_j (Delsarte 1973; BCN 2.2).  A
+    mismatch raises CountingError.
     """
 
     def __init__(self, d: int, e, q: int):
         self.d, self.e, self.q = d, Fraction(e), q
         self.P = [[eigenvalue(j, i, d, e, q) for i in range(d + 1)]
                   for j in range(d + 1)]
-        col1 = [row[1] for row in self.P]
-        if len(set(col1)) != d + 1:
-            raise CountingError(f"P_{{j,1}} not pairwise distinct: {col1}")
         for i in range(d + 1):
-            want = degree_k(d, e, q, i)
-            if self.P[0][i] != want:
+            if self.P[0][i] != (want := degree_k(d, e, q, i)):
                 raise CountingError(f"P_{{0,{i}}} = {self.P[0][i]}, "
                                     f"expected the degree k_{i} = {want}")
         for j in range(d + 1):
-            want = eigenvalue_disjointness(j, d, e, q)
-            if self.P[j][d] != want:
+            if self.P[j][d] != (want := eigenvalue_disjointness(j, d, e, q)):
                 raise CountingError(f"P_{{{j},{d}}} = {self.P[j][d]}, "
                                     f"expected the closed form {want}")
-        p, span = intersection_numbers(d, e, q), range(d + 1)
-        for (j, row), i, l in product(enumerate(self.P), span, span):
-            want = sum(x * y for x, y in zip(p[i][l], row))
-            if row[i] * row[l] != want:
-                raise CountingError(
-                    f"P_{{{j},{i}}} P_{{{j},{l}}} = {row[i] * row[l]}, expected "
-                    f"sum_k p^k_{{{i},{l}}} P_{{{j},k}} = {want}")
+        if problem := character_problem(self.P, intersection_numbers(d, e, q)):
+            raise CountingError(problem)
+        n = num_generators(d, e, q)
+        m = [multiplicity(self.P, j, n) for j in range(d + 1)]
+        for i, l in product(range(d + 1), repeat=2):
+            got = sum(x * r[i] * r[l] for x, r in zip(m, self.P))
+            if got != (want := n * self.P[0][i] * (i == l)):
+                raise CountingError(f"sum_j m_j P_{{j,{i}}} P_{{j,{l}}} = {got}, "
+                                    f"expected n k_{i} delta_{{{i},{l}}} = {want}")
 
     def multiplicity(self, j: int) -> int:
         """dim V_j, with N the closed-form generator count."""
         return multiplicity(self.P, j, num_generators(self.d, self.e, self.q))
+
+
+def character_problem(P, p):
+    """None if the P_{j,1} are pairwise distinct and every row of P is a
+    character of the algebra with p[i][l][k] = p^k_{il}, that is
+    P_{j,i} P_{j,l} = sum_k p^k_{il} P_{j,k}; else what fails."""
+    col1 = [row[1] for row in P]
+    if len(set(col1)) != len(col1):
+        return f"P_{{j,1}} not pairwise distinct: {col1}"
+    span = range(len(P))
+    for (j, row), i, l in product(enumerate(P), span, span):
+        want = sum(x * y for x, y in zip(p[i][l], row))
+        if row[i] * row[l] != want:
+            return (f"P_{{{j},{i}}} P_{{{j},{l}}} = {row[i] * row[l]}, expected "
+                    f"sum_k p^k_{{{i},{l}}} P_{{{j},k}} = {want}")
+    return None
 
 
 def multiplicity(P, j: int, n: int) -> int:
@@ -273,35 +281,20 @@ def class_disjoint_to_two(n: int, q: int, x: int, chi_pi: int, chi_pi2: int) -> 
 
 
 def intersection_numbers(d: int, e, q: int):
-    """All p^k_{ij} of the scheme, via the three-term recursion on A_1 A_i.
-
-    Returns p with p[i][j][k] = p^k_{ij}.  The recursion seeds L_0 = I and
-    L_1 from (b, a, c) and uses A_1 A_i = b_{i-1} A_{i-1} + a_i A_i +
-    c_{i+1} A_{i+1}; every division below is exact.
-    """
-    b = [parameter_b(d, e, q, i) for i in range(d + 1)]
-    c = [parameter_c(d, e, q, i) for i in range(d + 1)]
-    a = [b[0] - b[i] - c[i] for i in range(d + 1)]
-    # L[i][k][j] = p^k_{ij}
-    L = [[[1 if k == j else 0 for j in range(d + 1)] for k in range(d + 1)]]
-    L1 = [[0] * (d + 1) for _ in range(d + 1)]
-    for k in range(d + 1):
-        if k - 1 >= 0:
-            L1[k][k - 1] = c[k]
-        L1[k][k] = a[k]
-        if k + 1 <= d:
-            L1[k][k + 1] = b[k]
-    L.append(L1)
+    """All p^k_{ij} of the scheme, as p[i][j][k], by the three-term
+    recurrence: L_i[k][j] = p^k_{ij} with L_0 = I, L_1 tridiagonal in
+    (c_k, a_k, b_k), and L_{i+1} = (L_1 L_i - a_i L_i - b_{i-1} L_{i-1}) /
+    c_{i+1} from A_1 A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1};
+    every division is exact."""
+    span = range(d + 1)
+    b = [parameter_b(d, e, q, i) for i in span]
+    c = [parameter_c(d, e, q, i) for i in span]
+    L1 = [[{k - 1: c[k], k: b[0] - b[k] - c[k], k + 1: b[k]}.get(j, 0)
+           for j in span] for k in span]
+    L = [[[int(k == j) for j in span] for k in span], L1]
     for i in range(1, d):
-        nxt = [[0] * (d + 1) for _ in range(d + 1)]
-        for k in range(d + 1):
-            for j in range(d + 1):
-                val = sum(L1[k][m] * L[i][m][j] for m in range(d + 1))
-                val -= a[i] * L[i][k][j]
-                if i >= 1:
-                    val -= b[i - 1] * L[i - 1][k][j]
-                nxt[k][j] = _divide(val, c[i + 1], f"p^{k}_{{{i + 1},{j}}}")
-        L.append(nxt)
-    p = [[[L[i][k][j] for k in range(d + 1)] for j in range(d + 1)]
-         for i in range(d + 1)]
-    return p
+        L.append([[_divide(sum(L1[k][m] * L[i][m][j] for m in span)
+                           - L1[i][i] * L[i][k][j] - b[i - 1] * L[i - 1][k][j],
+                           c[i + 1], f"p^{k}_{{{i + 1},{j}}}")
+                   for j in span] for k in span])
+    return [[[L[i][k][j] for k in span] for j in span] for i in span]

@@ -20,6 +20,19 @@ same way: row u, the column sum of the classes through u, must read
 q^{d-i} on A_i[u] for even i and 0 for odd i, and the A_i[u] partition
 Omega, so the rows cover every pair.
 
+The Bose-Mesner algebra in one packed pass (`verify_distance_regularity`).
+With B one more than k = b_0 or the largest row of A_1, whichever is
+larger, R[w] packs generator w's distance row, label i as B^i, in fields
+of bits(B^{d+1}) rounded up to bytes.  For every u it checks A_0[u] = {u} and that field v
+of sum_{w in A_1[u]} R[w] is E_i = c_i B^{i-1} + a_i B^i + b_i B^{i+1},
+i = dist(u, v).  Digit j of that field is (A_1 A_j)_{uv} <= |A_1[u]| < B,
+so nothing carries: this is A_1 A_j = b_{j-1} A_{j-1} + a_j A_j +
+c_{j+1} A_{j+1} for every j on every entry (digit 1 of field u makes A_1
+symmetric).  As c_{j+1} != 0, each A_i is the polynomial in A_1 that
+`counting.intersection_numbers` builds by the same recurrence and j = d
+closes the algebra, so every p^k_ij is the closed form (BCN,
+Distance-Regular Graphs, 1989, 4.1); `EigenvalueTable` ties P to them.
+
 Eigenspace membership: chi lies in the orthogonal sum of the V_j, j in
 S, iff T chi = 0 for T = sum_i beta_i A_i acting as 0 on those V_j and as
 one nonzero scalar on the others (`Combination`).
@@ -63,10 +76,12 @@ Eigenspace bases (`eigenspace_bases`) take three steps, each exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt, lcm, prod
 
-from .counting import (EigenvalueTable, binom2, intersection_numbers,
-                       multiplicity, parameter_b, parameter_c, pencil_size, qint)
+from .counting import (EigenvalueTable, binom2, character_problem,
+                       intersection_numbers, multiplicity, parameter_b,
+                       parameter_c, pencil_size, qint)
 from .enumeration import PolarSpace
 from .geometry import GeometryError, VerificationError
 from .linalg import (ModEchelon, _bits, _primitive, first_non_eigenvector,
@@ -274,6 +289,7 @@ class SchemeContext:
         self._B = None
         self._image_bases = {}
         self._eigenbases = None
+        self._certified = set()  # the certificates that passed
 
     # -- relations ---------------------------------------------------------
 
@@ -331,8 +347,9 @@ class SchemeContext:
         the two generators to share a section class, so those terms
         vanish.  Row u is the bit-sliced column sum of the classes
         through u, compared on every A_i[u].  Returns None or the first
-        violating pair (u, v, i, got, expect).
-        """
+        violating pair (u, v, i, got, expect).  A pass is kept."""
+        if "BtB" in self._certified:
+            return None
         B = self.build_B()
         q, d, n, full = self.space.desc.q, self.d, self.n, (1 << self.n) - 1
         through = [[] for _ in range(n)]
@@ -349,61 +366,48 @@ class SchemeContext:
                 i = next(i for i in range(d + 1) if self.A[i][u] >> v & 1)
                 got = sum((b >> v & 1) << t for t, b in enumerate(planes))
                 return (u, v, i, got, expect[i])
+        self._certified.add("BtB")
         return None
 
     # -- verification ------------------------------------------------------
 
     def verify_distance_regularity(self):
-        """Empirical b_i, c_i over all pairs vs the closed forms.
-
-        Returns (params, None) on success or (None, witness) with the
-        first violating pair.
-        """
-        d, q, e = self.d, self.space.desc.q, self.space.desc.e
-        b = [parameter_b(d, e, q, i) for i in range(d)] + [None]
-        c = [None] + [parameter_c(d, e, q, i) for i in range(1, d + 1)]
-        A, n = self.A, self.n
-        # at distance i: (rows at i + 1, b_i, rows at i - 1, c_i)
-        spec = [(A[i + 1] if i < d else None, b[i], A[i - 1] if i else None,
-                 c[i]) for i in range(d + 1)]
-        for u in range(n):
-            row, nb = self._distance_row(u), A[1][u]
-            for v in range(u, n):
-                up, bi, down, ci = spec[row[v]]
-                if up is not None and (nb & up[v]).bit_count() != bi:
-                    return None, (u, v, "b", row[v], (nb & up[v]).bit_count(),
-                                  bi)
-                if down is not None and (nb & down[v]).bit_count() != ci:
-                    return None, (u, v, "c", row[v],
-                                  (nb & down[v]).bit_count(), ci)
+        """The algebra certificate (module docstring), kept once it passes:
+        (params, None), or (None, (u, v, j, found, expected)) at the first
+        entry (u, v) off, of A_1 A_j, or of A_0 = I when j is None."""
+        d, q, e, n, A = self.d, self.space.desc.q, self.space.desc.e, self.n, self.A
+        b, c = ([f(d, e, q, i) for i in range(d + 1)]
+                for f in (parameter_b, parameter_c))
+        if "algebra" in self._certified:
+            return {"b": b[:d], "c": c[1:]}, None
+        B = max([b[0]] + [m.bit_count() for m in A[1]]) + 1
+        w = 8 * -(-(B ** (d + 1)).bit_length() // 8)
+        up = [(B ** i).to_bytes(w // 8, "little") for i in range(d + 1)]
+        E = [((c[i] + (b[0] - b[i] - c[i]) * B + b[i] * B * B) * B ** i // B)  # c_0 = 0
+             .to_bytes(w // 8, "little") for i in range(d + 1)]
+        rows = [self._distance_row(g) for g in range(n)]
+        R = [int.from_bytes(b"".join(map(up.__getitem__, r)), "little") for r in rows]
+        for u, row in enumerate(rows):
+            if off := A[0][u] ^ 1 << u:
+                v = (off & -off).bit_length() - 1
+                return None, (u, v, None, A[0][u] >> v & 1, int(u == v))
+            got = sum(compress(R, spread(A[1][u], 8).to_bytes(n, "little")))
+            if off := got ^ int.from_bytes(b"".join(map(E.__getitem__, row)), "little"):
+                v = ((off & -off).bit_length() - 1) // w
+                f, x = (t >> w * v & (1 << w) - 1 for t in (got, got ^ off))
+                j = next(j for j in range(d + 1) if (f - x) % B ** (j + 1))
+                return None, (u, v, j, f // B ** j % B, x // B ** j % B)
+        self._certified.add("algebra")
         return {"b": b[:d], "c": c[1:]}, None
 
     def verify_intersection_numbers(self):
-        """A_i A_j = sum_k p^k_{ij} A_k, checked entrywise by counting."""
-        d, n, span = self.d, self.n, range(self.d + 1)
-        p = intersection_numbers(d, self.space.desc.e, self.space.desc.q)
-        want = [[p[i][j][k] for i in span for j in span] for k in span]
-        rows = list(zip(*self.A))  # rows[g][i] = A_i[g]
-        for u in range(n):
-            row, at_u = self._distance_row(u), rows[u]
-            for v in range(u, n):
-                got = [(a & b).bit_count() for a in at_u for b in rows[v]]
-                if got != want[row[v]]:
-                    t = next(t for t, (x, y) in enumerate(zip(got, want[row[v]]))
-                             if x != y)
-                    return (u, v, *divmod(t, d + 1), got[t], want[row[v]][t])
-        return None
+        """The algebra certificate's witness: it implies every p^k_ij."""
+        return self.verify_distance_regularity()[1]
 
     # -- eigenspace machinery ------------------------------------------------
 
     def matvec_mask(self, masks, v):
-        out = []
-        for m in masks:
-            acc = 0
-            for j in _bits(m):
-                acc += v[j]
-            out.append(acc)
-        return out
+        return [sum(v[j] for j in _bits(m)) for m in masks]
 
     def universe(self, label=None) -> RestrictedScheme:
         """The cached universe: Omega, or the generator class `label`."""
@@ -512,9 +516,11 @@ class RestrictedScheme:
     relations A'_t = A_{distances[t]} with their rows and P', statement
     (iii)'s S, the pencil size p (a set's parameter is x = |L| / p) and
     f = q^{C(d-1,2)+e(d-1)}, the disjointness count of statement (i) (e = 0
-    on a class).  At build it certifies p (k' + f) = N f, k' = |K_g ^ U|
-    for every g in U, the identity that reads statement (ii) off (i)
-    (`clsets.test_eigenvector`); a miss raises VerificationError.
+    on a class).  At build it certifies, on a class, P' as the characters
+    of p'^t_sr = p^{2t}_{2s,2r} (w at even distance from u is in u's
+    class), and p (k' + f) = N f, k' = |K_g ^ U| for every g in U, which
+    reads statement (ii) off (i) (`clsets.test_eigenvector`); a miss
+    raises.
     `SchemeContext.universe` caches one per label.
     """
 
@@ -536,6 +542,11 @@ class RestrictedScheme:
         self.rows = [ctx.A[i] for i in self.distances]
         self.P = [[row[i] for i in self.distances]
                   for row in ctx.P[:len(self.distances)]]
+        if label:  # on Omega P' = P, which EigenvalueTable certifies
+            ds, p = self.distances, intersection_numbers(d, e, q)
+            if problem := character_problem(
+                    self.P, [[[p[s][r][t] for t in ds] for r in ds] for s in ds]):
+                raise SchemeError(f"P' of {sp.name()} {label}: {problem}")
         want = Fraction(self.N * self.f, self.pencil) - self.f  # k'
         for g in self.members:
             if (got := (ctx.K[g] & self.mask).bit_count()) != want:

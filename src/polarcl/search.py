@@ -333,9 +333,11 @@ def meeting_graph(ctx, class_label: str | None = None):
     for position a the positions b != a whose generators meet universe[a],
     read off the disjointness relation K."""
     u, K = ctx.restricted(class_label), ctx.scheme.K
+    meets = [u.mask & ~(K[g] | 1 << g) for g in u.members]
+    if u.label is None:  # on Omega the position is the generator index
+        return u.members, meets
     at = {g: 1 << a for a, g in enumerate(u.members)}
-    return u.members, [sum(at[h] for h in _bits(u.mask & ~(K[g] | 1 << g)))
-                       for g in u.members]
+    return u.members, [sum(at[h] for h in _bits(m)) for m in meets]
 
 
 def find_cl_parameter1(space, class_label: str | None = None,

@@ -77,7 +77,7 @@ def criterion_1() -> CriterionResult:
 
 
 def criterion_2() -> CriterionResult:
-    """Empirical b_i, c_i over all vertex pairs match the closed forms."""
+    """The algebra certificate: A_1 A_j matches the closed forms everywhere."""
     for name in ["Q(6,2)", "Q-(5,2)", "H(3,4)", "Q+(7,2)"]:
         ctx = get_context(get_space_by_name(name))
         params, witness = ctx.scheme.verify_distance_regularity()

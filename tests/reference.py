@@ -1,8 +1,9 @@
 """Routes that only the tests call: the pair-loop references for the
-scheme's relations, B^t B and the meeting graph, the list-based
-annihilators for eigenspace membership, the certified kernel that
-decides image membership by elimination, the GQ line-set report, and
-small checks kept out of the library because nothing in it needs them."""
+scheme's relations, its algebra, B^t B and the meeting graph, the
+list-based annihilators for eigenspace membership, the certified kernel
+that decides image membership by elimination, the GQ line-set report,
+and small checks kept out of the library because nothing in it needs
+them."""
 
 from fractions import Fraction
 from functools import cache
@@ -263,6 +264,12 @@ def gq_cl_report(gq, line_mask: int) -> dict:
 
 # -- sets ---------------------------------------------------------------------
 
+def intersection_profile(gs, pi: int):
+    """n_i = members of L meeting generator pi in a (d-i-1)-space."""
+    ctx = gs.ctx
+    return [(ctx.scheme.A[i][pi] & gs.mask).bit_count() for i in range(ctx.d + 1)]
+
+
 def regular_system_m(gs):
     """The unique m if the set is a regular system, else None."""
     rows = gs.ctx.space.point_gen_masks()
@@ -428,18 +435,26 @@ def _distance_table(sch):
              for v in range(sch.n)] for u in range(sch.n)]
 
 
-def reference_regularity_witness(sch, b, c):
-    """The first pair u <= v whose b_i or c_i count is off, read through
-    a distance table, as `verify_distance_regularity` reports it."""
-    dist, A, d = _distance_table(sch), sch.A, sch.d
-    for u in range(sch.n):
-        for v in range(u, sch.n):
-            i = dist[u][v]
-            if i < d and (A[1][u] & A[i + 1][v]).bit_count() != b[i]:
-                return (u, v, "b", i, (A[1][u] & A[i + 1][v]).bit_count(), b[i])
-            if i >= 1 and (A[1][u] & A[i - 1][v]).bit_count() != c[i - 1]:
-                return (u, v, "c", i, (A[1][u] & A[i - 1][v]).bit_count(),
-                        c[i - 1])
+def reference_algebra_witness(sch, b, c):
+    """The first (u, v, j, found, expected) with (A_1 A_j)_{uv} other than
+    (b_{j-1} A_{j-1} + a_j A_j + c_{j+1} A_{j+1})_{uv}, or with j None where
+    (A_0)_{uv} is not (I)_{uv}, read through a distance table one u at a
+    time, as `verify_distance_regularity` reports it; b and c run over
+    0..d (b_d = c_0 = 0)."""
+    dist, A, d, n = _distance_table(sch), sch.A, sch.d, sch.n
+    a = [b[0] - x - y for x, y in zip(b, c)]
+    for u in range(n):
+        for v in range(n):
+            if (dist[u][v] == 0) != (u == v):
+                return (u, v, None, int(dist[u][v] == 0), int(u == v))
+        for v in range(n):
+            i, found = dist[u][v], [0] * (d + 1)
+            for w in _bits(A[1][u]):
+                found[dist[w][v]] += 1
+            want = {i - 1: c[i], i: a[i], i + 1: b[i]}
+            for j in range(d + 1):
+                if found[j] != want.get(j, 0):
+                    return (u, v, j, found[j], want.get(j, 0))
     return None
 
 

@@ -13,9 +13,8 @@ from polarcl.clsets import (CLContext, GenSet, VerificationError, check_cl,
                             construct_hyperbolic_class,
                             construct_point_pencil, difference,
                             eigenspace_indices, expected_profile_type_I,
-                            get_context, intersection_profile,
-                            is_regular_system, profile_verdict, space_type,
-                            union, z_profile)
+                            get_context, is_regular_system, profile_verdict,
+                            space_type, union, z_profile)
 from polarcl.clsets import test_disjointness_counts as disjointness_test
 from polarcl.clsets import test_eigenspace as eigenspace_test
 from polarcl.clsets import test_eigenvector as eigenvector_test
@@ -28,7 +27,8 @@ from polarcl.linalg import _bits
 from polarcl.search import find_spreads
 
 from reference import (class_image_membership, eigenspace_membership,
-                       image_membership, regular_system_m)
+                       image_membership, intersection_profile,
+                       regular_system_m)
 
 
 def ctx_of(name):

@@ -245,6 +245,14 @@ def _wrong_column_two(mp):
     return EigenvalueTable(4, 0, 2)
 
 
+def _wrong_multiplicity(mp):
+    # m_1 of W(3,2) one too large: sum_j m_j P_{j,0}^2 reads n + 1
+    import polarcl.counting as counting
+    orig = counting.multiplicity
+    _patched(mp, "multiplicity", lambda P, j, n: orig(P, j, n) + (j == 1))
+    return EigenvalueTable(2, 1, 2)
+
+
 def _wrong_generator_count(mp):
     table = EigenvalueTable(2, 1, 2)
     _patched(mp, "num_generators", lambda d, e, q: 16)  # W(3,2) has 15
@@ -268,6 +276,7 @@ COUNT_CHECKS = {
     "table-degrees": _wrong_degree,
     "table-disjointness": _wrong_disjointness,
     "table-column-2": _wrong_column_two,
+    "table-orthogonality": _wrong_multiplicity,
     "multiplicity": _wrong_generator_count,
     "min-eigenvalue-spaces": _min_value_everywhere,
     "intersection-numbers": _wrong_c,
@@ -287,6 +296,13 @@ def test_character_check_names_the_entry(monkeypatch):
             r"P_\{1,1\} P_\{1,1\} = 36, expected "
             r"sum_k p\^k_\{1,1\} P_\{1,k\} = 39")):
         _wrong_column_two(monkeypatch)
+
+
+def test_orthogonality_names_the_entry(monkeypatch):
+    with pytest.raises(CountingError, match=(
+            r"sum_j m_j P_\{j,0\} P_\{j,0\} = 16, expected "
+            r"n k_0 delta_\{0,0\} = 15")):
+        _wrong_multiplicity(monkeypatch)
 
 
 @pytest.mark.under_optimize("test_count_checks_raise")

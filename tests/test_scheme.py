@@ -14,9 +14,9 @@ from polarcl.scheme import RestrictedScheme, SchemeError, column_order
 
 from reference import (annihilate, class_image_membership,
                        eigenspace_membership, expanded_annihilator,
-                       image_membership, rank_of_incidence, reference_btb,
-                       reference_intersection_witness,
-                       reference_regularity_witness, reference_relations)
+                       image_membership, rank_of_incidence,
+                       reference_algebra_witness, reference_btb,
+                       reference_intersection_witness, reference_relations)
 
 
 def ctx_of(name):
@@ -42,8 +42,51 @@ def test_distance_regularity_verification():
 
 
 def test_intersection_numbers_exhaustive_small():
+    # the certificate implies every p^k_ij: the full entrywise walk over a
+    # distance table passes wherever it passes
+    from polarcl.counting import intersection_numbers
     for name in ("W(3,2)", "Q+(5,2)", "Q(6,2)", "Q+(7,2)"):
-        assert ctx_of(name).verify_intersection_numbers() is None
+        sch = ctx_of(name)
+        assert sch.verify_intersection_numbers() is None
+        p = intersection_numbers(sch.d, sch.space.desc.e, sch.space.desc.q)
+        assert reference_intersection_witness(sch, p) is None, name
+
+
+def test_certificates_are_kept_once_they_pass():
+    # a pass is kept on the context, so a later call walks nothing; a
+    # witness is never kept, so a failing check is run again
+    sch = _fresh("Q(6,2)")
+    assert sch.verify_BtB() is None
+    assert sch.verify_distance_regularity()[1] is None
+    sch._B, saved = None, sch.A[1][0]
+    sch.A[1][0] ^= 1 << 1
+    assert sch.verify_BtB() is None and sch._B is None
+    assert sch.verify_distance_regularity()[1] is None
+    sch = _fresh("Q(6,2)")
+    sch.A[1][0] ^= 1 << 1
+    B = sch.build_B()
+    sch._B = [m ^ 1 for m in B]  # generator 0 toggled in every class
+    for _ in range(2):  # still broken, so the witness is found again
+        assert sch.verify_distance_regularity()[1] is not None
+        assert sch.verify_BtB() is not None
+    sch.A[1][0], sch._B = saved, B
+    assert sch.verify_distance_regularity()[1] is None
+    assert sch.verify_BtB() is None
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def test_class_characters_hold_in_closed_form(d):
+    # P' = (P_{j,2i}) on a class of Q+(2d-1,q) is a character table of
+    # p'^t_sr = p^{2t}_{2s,2r}, with distinct P'_{j,1}, as the universe
+    # certifies at build
+    from polarcl.counting import (EigenvalueTable, character_problem,
+                                  intersection_numbers)
+    ds = range(0, d + 1, 2)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        P, p = EigenvalueTable(d, 0, q).P, intersection_numbers(d, 0, q)
+        P_class = [[row[i] for i in ds] for row in P[:len(ds)]]
+        assert character_problem(P_class, [[[p[s][r][t] for t in ds]
+                                             for r in ds] for s in ds]) is None
 
 
 def test_incidence_row_sums():
@@ -543,25 +586,29 @@ def test_btb_rows_match_the_pair_loop():
         assert sch.verify_BtB() is None and reference_btb(sch) is None
 
 
+def _closed_bc(sch):
+    """b_0..b_d and c_0..c_d from the certificate's parameters."""
+    params, _ = ctx_of(sch.space.name()).verify_distance_regularity()
+    return params["b"] + [0], [0] + params["c"]
+
+
 def test_pair_walks_report_the_first_failing_pair():
     # move one generator from A_1[7] to A_2[7] and one back, symmetrically:
-    # both walks must name the pair that a walk over a distance table does
+    # the certificate names the entry that a walk over a distance table
+    # does, and the p^k_ij walk fails too
     from polarcl.counting import intersection_numbers
-    params, _ = ctx_of("Q(6,2)").verify_distance_regularity()
     sch = _fresh("Q(6,2)")
     A, g = sch.A, 7
     h1, h2 = (next(_bits(A[i][g] >> 20 << 20)) for i in (1, 2))
     for x, y, i in ((g, h1, 1), (h1, g, 1), (g, h2, 2), (h2, g, 2)):
         A[i][x] ^= 1 << y
         A[3 - i][x] ^= 1 << y
-    _, witness = sch.verify_distance_regularity()
-    assert witness is not None
-    assert witness == reference_regularity_witness(sch, params["b"],
-                                                   params["c"])
-    witness = sch.verify_intersection_numbers()
-    assert witness is not None
-    assert witness == reference_intersection_witness(
-        sch, intersection_numbers(3, 1, 2))
+    got, witness = sch.verify_distance_regularity()
+    assert got is None and witness is not None
+    assert witness == reference_algebra_witness(sch, *_closed_bc(sch))
+    assert sch.verify_intersection_numbers() == witness
+    assert reference_intersection_witness(
+        sch, intersection_numbers(3, 1, 2)) is not None
 
 
 def test_btb_fires_at_an_odd_distance():
@@ -577,15 +624,18 @@ def test_btb_fires_at_an_odd_distance():
 
 
 def test_regularity_fires_on_b_alone(monkeypatch):
-    # b_1 one too large and every c_i right: only the b test can object
+    # b_1 one too large and every c_i right: E_1 = c_1 + a_1 B + b_1 B^2
+    # moves, a_1 = k - b_1 - c_1 with it, so the first field at distance 1
+    # from generator 0 is off in its digit 1
     import polarcl.scheme as scheme
-    sch = ctx_of("Q(6,2)")
-    params, _ = sch.verify_distance_regularity()
-    b = [x + (i == 1) for i, x in enumerate(params["b"])]
+    sch = _fresh("Q(6,2)")
+    b, c = _closed_bc(sch)
+    b[1] += 1
     monkeypatch.setattr(scheme, "parameter_b", lambda d, e, q, i: b[i])
     got, witness = sch.verify_distance_regularity()
-    assert got is None and witness[2:4] == ("b", 1)
-    assert witness == reference_regularity_witness(sch, b, params["c"])
+    v = (sch.A[1][0] & -sch.A[1][0]).bit_length() - 1
+    assert got is None and witness == (0, v, 1, 1, 0)  # a_1 = 14 - 12 - 1
+    assert witness == reference_algebra_witness(sch, b, c)
 
 
 def _tampered_b_row():
@@ -601,6 +651,55 @@ def _tampered_b_row():
         raise VerificationError(f"B^t B fails at {witness}")
 
 
+def _algebra_fails(sch, b, c):
+    """Raise with the certificate's witness, once the distance-table
+    reference names the same one."""
+    _, witness = sch.verify_distance_regularity()
+    if witness != reference_algebra_witness(sch, b, c):
+        raise AssertionError(f"{witness} against the reference")
+    if witness is not None:
+        raise VerificationError(f"the algebra certificate fails at {witness}")
+
+
+def _e_coefficient_off(monkeypatch):
+    # c_2 + 1 moves E_2 = c_2 B + a_2 B^2 + b_2 B^3 in its digits 1 and 2
+    import polarcl.scheme as scheme
+    sch = _fresh("Q(6,2)")
+    b, c = _closed_bc(sch)
+    c[2] += 1
+    monkeypatch.setattr(scheme, "parameter_c", lambda d, e, q, i: c[i])
+    _algebra_fails(sch, b, c)
+
+
+def _moved(sch, h, i, j):
+    """Move the pair (0, h) from A_i to A_j, both ways, so the relations
+    still partition Omega."""
+    for x, y in ((0, h), (h, 0)):
+        sch.A[i][x] ^= 1 << y
+        sch.A[j][x] ^= 1 << y
+    _algebra_fails(sch, *_closed_bc(sch))
+
+
+def _a1_bit_flipped(monkeypatch):
+    # A_1[0] gains a generator at distance 2: its row has k + 1 members,
+    # so B = k + 2 keeps digit 1 of field 0 from carrying
+    sch = _fresh("Q(6,2)")
+    _moved(sch, (sch.A[2][0] & -sch.A[2][0]).bit_length() - 1, 2, 1)
+
+
+def _a0_entry_off(monkeypatch):
+    # A_0[0] gains a neighbour of generator 0
+    sch = _fresh("Q(6,2)")
+    _moved(sch, (sch.A[1][0] & -sch.A[1][0]).bit_length() - 1, 1, 0)
+
+
+def _p_prime_entry_off(monkeypatch):
+    # P'_{1,1} = P_{1,2} on a class of Q+(7,2) one too large
+    sch = _fresh("Q+(7,2)")
+    sch.P[1][2] += 1
+    sch.universe("latin")
+
+
 def _tampered_point_row(monkeypatch):
     from polarcl.enumeration import PolarSpace
     sp = get_space_by_name("Q(6,2)")
@@ -612,7 +711,16 @@ def _tampered_point_row(monkeypatch):
 
 
 RELATION_CORRUPTIONS = {
+    "a0-entry": (_a0_entry_off,
+                 r"the algebra certificate fails at \(0, 1, None, 1, 0\)"),
+    "a1-bit": (_a1_bit_flipped,
+               r"the algebra certificate fails at \(0, 0, 1, 15, 14\)"),
     "b-row": (lambda mp: _tampered_b_row(), r"B\^t B fails at \(0, 0, 0, 9, 8\)"),
+    "e-coefficient": (_e_coefficient_off,
+                      r"the algebra certificate fails at \(0, \d+, 1, 3, 4\)"),
+    "p-prime-entry": (_p_prime_entry_off,
+                      r"P' of Q\+\(7,2\) latin: P_\{1,1\} "
+                      r"P_\{1,1\} = 64, expected sum_k p\^k_\{1,1\}"),
     "point-row": (_tampered_point_row,
                   r"shares a subspace's point count with \d+ generators, "
                   r"expected all 135"),

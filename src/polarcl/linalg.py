@@ -36,7 +36,8 @@ multiply and one add on a big int.  Two kernels use this layout.
 - `first_non_eigenvector` checks M w_i = lam w_i for a symmetric 0/1
   matrix M given by row masks, all w_i in one transposed pass: X_t packs
   entry t of every vector (field i holds w_i[t]), and row s of
-  (M - lam I) W, sum_{t in M[s]} X_t - lam X_s, has the fields h_{i,s} =
+  (M - lam I) W, sum_{t in M[s]} X_t - lam X_s (`itertools.compress`
+  picks the X_t through the `selectors` of M), has the fields h_{i,s} =
   ((M - lam I) w_i)_s, |h_{i,s}| <= 2 k max|w| for k = max(row weight,
   |lam|).  With B = bits(k max|w|) + 2 every |h_{i,s}| < 2^(B-1), so the
   balanced fields cannot carry into each other: a row is zero exactly when
@@ -160,6 +161,7 @@ class IntEchelon:
 # -- packed rows ----------------------------------------------------------------
 
 PRIME = 1048583  # the least prime above 2^20
+_BIT = bytes.maketrans(b"01", b"\0\1")  # a bit's digit -> that bit's byte
 
 
 def _pack(vals, nbytes: int) -> int:
@@ -262,6 +264,12 @@ def spread(mask: int, width: int) -> int:
     return out
 
 
+def selectors(masks, n: int) -> list[bytes]:
+    """Byte t of selector s is bit t of masks[s], for t < n: with
+    `itertools.compress` it picks a row's entries out of a vector."""
+    return [format(m, f"0{n}b")[::-1].encode().translate(_BIT) for m in masks]
+
+
 @cache
 def _spread_table(width: int) -> list[bytes]:
     """Byte b -> the `width` bytes of its 8 bits spread over fields."""
@@ -275,13 +283,14 @@ def eigencheck_width(degree: int, peak: int) -> int:
     return (degree * peak).bit_length() + 2
 
 
-def first_non_eigenvector(masks, lam: int, vectors):
+def first_non_eigenvector(masks, lam: int, vectors, sel=None):
     """Index of the first vector w with M w != lam w, or None.
 
-    M is the symmetric 0/1 matrix with row masks `masks`; each row is
-    read as a column too.  X_t is its positive entries less its negated
-    negative ones, each packed from unsigned binary fields; the module
-    docstring gives the n k row adds, their width and the least field.
+    M is the symmetric 0/1 matrix with row masks `masks` (and `sel`, their
+    `selectors`, if built); each row is read as a column too.  X_t is its
+    positive entries less its negated negative ones, each packed from
+    unsigned binary fields; the module docstring gives the n k row adds,
+    their width and the least field.
     """
     degree = max([abs(lam)] + [m.bit_count() for m in masks])
     values = set().union(*vectors)
@@ -291,7 +300,7 @@ def first_non_eigenvector(masks, lam: int, vectors):
     X = [int("".join(map(pos.__getitem__, col)), 2)
          - int("".join(map(neg.__getitem__, col)), 2)
          for col in zip(*vectors[::-1])]  # field i: vectors[i]
-    rows = (sum(compress(X, spread(m, 8).to_bytes(len(X), "little"))) - lam * x
-            for m, x in zip(masks, X))
+    rows = (sum(compress(X, b)) - lam * x
+            for b, x in zip(sel or selectors(masks, len(X)), X))
     return min((((h & -h).bit_length() - 1) // width for h in rows if h),
                default=None)

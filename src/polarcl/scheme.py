@@ -66,11 +66,14 @@ Eigenspace bases (`eigenspace_bases`) take three steps, each exact.
   factor loses rank (p = 5 reaches rank 1 of 9 on V_1 of W(3,2)).
   p > 2^20 exceeds every |P_{j,1} - P_{l,1}| <= 2 P_{0,1} while the
   valency P_{0,1} is below 2^19.
-- Packed eigencheck.  Every basis vector w of V_j satisfies
-  A_1 w = P_{j,1} w, checked for the whole basis in one transposed pass
-  at field width bits(k max|w|) + 2, which keeps fields from carrying.  The
-  modular echelon takes fields in [0, p) and grows them to at most
-  n p (p - 1).  Both bounds are derived in `linalg`.
+- Packed eigencheck.  A_1 w = P_{j,1} w for the whole basis of V_j in one
+  transposed pass; `linalg` derives its field width and the echelon's.
+
+Selectors and kept rows.  Every matvec over bitmask rows (`matvec_mask`,
+the algebra pass, the A_1 eigencheck) sums through byte selectors
+(`linalg.selectors`) with `itertools.compress`.  The algebra pass keeps
+the n distance rows for the bases' columns once it passes, never on a
+witness: n^2 bytes (5.0 MB on Q+(7,3)), for the stretch preflight budget.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ from .counting import (EigenvalueTable, binom2, character_problem,
 from .enumeration import PolarSpace
 from .geometry import GeometryError, VerificationError
 from .linalg import (ModEchelon, _bits, _primitive, first_non_eigenvector,
-                     spread)
+                     selectors, spread)
 
 
 class SchemeError(VerificationError):
@@ -290,6 +293,7 @@ class SchemeContext:
         self._image_bases = {}
         self._eigenbases = None
         self._certified = set()  # the certificates that passed
+        self._rows = None  # the distance rows, kept once the algebra passes
 
     # -- relations ---------------------------------------------------------
 
@@ -314,8 +318,9 @@ class SchemeContext:
 
     def _distance_row(self, u: int) -> bytes:
         """Byte v is the distance of generators u and v."""
-        return sum(i * spread(self.A[i][u], 8)
-                   for i in range(1, self.d + 1)).to_bytes(self.n, "little")
+        return self._rows[u] if self._rows else sum(
+            i * spread(self.A[i][u], 8)
+            for i in range(1, self.d + 1)).to_bytes(self.n, "little")
 
     def incidence(self, k: int):
         """C_k rows: for every (k-1)-space, the bitmask of generators on it.
@@ -387,17 +392,18 @@ class SchemeContext:
              .to_bytes(w // 8, "little") for i in range(d + 1)]
         rows = [self._distance_row(g) for g in range(n)]
         R = [int.from_bytes(b"".join(map(up.__getitem__, r)), "little") for r in rows]
-        for u, row in enumerate(rows):
+        for u, (row, a1) in enumerate(zip(rows, selectors(A[1], n))):
             if off := A[0][u] ^ 1 << u:
                 v = (off & -off).bit_length() - 1
                 return None, (u, v, None, A[0][u] >> v & 1, int(u == v))
-            got = sum(compress(R, spread(A[1][u], 8).to_bytes(n, "little")))
+            got = sum(compress(R, a1))
             if off := got ^ int.from_bytes(b"".join(map(E.__getitem__, row)), "little"):
                 v = ((off & -off).bit_length() - 1) // w
                 f, x = (t >> w * v & (1 << w) - 1 for t in (got, got ^ off))
                 j = next(j for j in range(d + 1) if (f - x) % B ** (j + 1))
                 return None, (u, v, j, f // B ** j % B, x // B ** j % B)
         self._certified.add("algebra")
+        self._rows = rows
         return {"b": b[:d], "c": c[1:]}, None
 
     def verify_intersection_numbers(self):
@@ -407,7 +413,7 @@ class SchemeContext:
     # -- eigenspace machinery ------------------------------------------------
 
     def matvec_mask(self, masks, v):
-        return [sum(v[j] for j in _bits(m)) for m in masks]
+        return [sum(compress(v, b)) for b in selectors(masks, self.n)]
 
     def universe(self, label=None) -> RestrictedScheme:
         """The cached universe: Omega, or the generator class `label`."""
@@ -495,9 +501,10 @@ class SchemeContext:
         if total != n:
             raise SchemeError(
                 f"eigenspace dimensions sum to {total}, expected {n}")
+        sel = selectors(self.A[1], n)
         for j, basis in bases.items():
             lam = self.P[j][1]
-            bad = first_non_eigenvector(self.A[1], lam, basis)
+            bad = first_non_eigenvector(self.A[1], lam, basis, sel)
             if bad is not None:
                 raise SchemeError(f"basis vector {bad} of V_{j} fails the A_1 "
                                   f"eigencheck for eigenvalue {lam}")

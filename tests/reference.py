@@ -1,9 +1,9 @@
 """Routes that only the tests call: the pair-loop references for the
-scheme's relations, its algebra, B^t B and the meeting graph, the
-list-based annihilators for eigenspace membership, the certified kernel
-that decides image membership by elimination, the GQ line-set report,
-and small checks kept out of the library because nothing in it needs
-them."""
+scheme's relations, its algebra, B^t B, the meeting graph and the
+matvec, the list-based annihilators for eigenspace membership, the
+certified kernel that decides image membership by elimination, the GQ
+line-set report, and small checks kept out of the library because
+nothing in it needs them."""
 
 from fractions import Fraction
 from functools import cache
@@ -63,6 +63,12 @@ def reference_meeting_graph(space, universe):
             if a != b and space.intersection_vdim(ga, universe[b]) > 0:
                 meets[a] |= 1 << b
     return meets
+
+
+def reference_matvec(masks, v):
+    """M v for the 0/1 matrix M with row masks `masks`, one entry added
+    per set bit."""
+    return [sum(v[j] for j in _bits(m)) for m in masks]
 
 
 def rank_of_incidence(sch, k: int) -> int:

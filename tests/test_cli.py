@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +12,15 @@ from polarcl.cli import main
 
 def run(args):
     return main(args)
+
+
+def test_python_m_polarcl_runs_the_cli():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    proc = subprocess.run([sys.executable, "-m", "polarcl", "--help"],
+                          cwd=root, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: polarcl ")
 
 
 def test_space_info_text(capsys):

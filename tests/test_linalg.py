@@ -1,12 +1,16 @@
-"""Packed-row kernels: the modular echelon, the packed eigencheck, and
-the RREF and kernel lift of the tests' certified kernel (`reference`)."""
+"""Exact linear algebra: RREF over GF(q), the modular echelon, byte
+selectors, the packed eigencheck, and the RREF and kernel lift of the
+tests' certified kernel (`reference`)."""
 
 import random
 from math import gcd
 
+import pytest
+
 import polarcl.linalg as linalg
+from polarcl.gf import field
 from polarcl.linalg import (PRIME, IntEchelon, ModEchelon, eigencheck_width,
-                            first_non_eigenvector, spread)
+                            first_non_eigenvector, gf_rref, selectors, spread)
 
 from reference import kernel_columns, rational_reconstruction, rref
 
@@ -234,3 +238,60 @@ def test_spread_table_matches_the_bit_loop():
     for width in range(1, 81):
         for mask in masks:
             assert spread(mask, width) == reference(mask, width), (mask, width)
+
+
+def test_selectors_match_a_bit_loop():
+    # every n up to 70, n % 8 != 0 included, with the zero and all-ones
+    # masks and masks whose lowest and highest bits differ
+    rng = random.Random(5)
+    for n in range(1, 71):
+        masks = [0, (1 << n) - 1, 1, 1 << n - 1]
+        masks += [rng.getrandbits(n) for _ in range(6)]
+        want = [bytes(m >> t & 1 for t in range(n)) for m in masks]
+        assert selectors(masks, n) == want, n
+
+
+def _random_matrix(rng, gf, nrows, ncols):
+    """Rows over GF(q), some of them combinations of the others."""
+    rows = [[rng.randrange(gf.q) for _ in range(ncols)]
+            for _ in range(nrows // 2 + 1)]
+    while len(rows) < nrows:
+        a, u, v = rng.randrange(gf.q), rng.choice(rows), rng.choice(rows)
+        rows.append([gf.add(gf.mul(a, x), y) for x, y in zip(u, v)])
+    return rows
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_gf_rref_is_idempotent_and_canonical(q):
+    # rref(rref(M)) = rref(M); row permutations, row scalings and row
+    # additions leave it unchanged; pivots are 1 with zeros above and below
+    gf, rng = field(q), random.Random(q)
+    for _ in range(40):
+        nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 8)
+        M = _random_matrix(rng, gf, nrows, ncols)
+        R = gf_rref(M, gf)
+        rows, pivots = R
+        assert gf_rref(rows, gf) == R
+        assert gf_rref(M + [list(r) for r in rows], gf) == R  # same row space
+        assert list(pivots) == sorted(set(pivots))
+        for r, c in enumerate(pivots):
+            column = [row[c] for row in rows]
+            assert column == [int(i == r) for i in range(len(rows))]
+            assert not any(rows[r][:c])
+        assert gf_rref(rng.sample(M, nrows), gf) == R
+        i, j = rng.randrange(nrows), rng.randrange(nrows)
+        s, a = rng.randrange(1, q), rng.randrange(q)
+        scaled = [list(r) for r in M]
+        scaled[i] = [gf.mul(s, x) for x in M[i]]
+        assert gf_rref(scaled, gf) == R
+        if i != j:
+            added = [list(r) for r in M]
+            added[i] = [gf.add(x, gf.mul(a, y)) for x, y in zip(M[i], M[j])]
+            assert gf_rref(added, gf) == R
+
+
+def test_gf_rref_of_nothing():
+    gf = field(3)
+    assert gf_rref([], gf) == ((), ())
+    assert gf_rref([[0, 0, 0]] * 4, gf) == ((), ())
+    assert gf_rref([[0]], gf) == ((), ())

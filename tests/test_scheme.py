@@ -1,5 +1,6 @@
 """The association scheme layer: relations, eigenspaces, incidences."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -12,11 +13,12 @@ from polarcl.geometry import GeometryError, VerificationError
 from polarcl.linalg import _bits
 from polarcl.scheme import RestrictedScheme, SchemeError, column_order
 
-from reference import (annihilate, class_image_membership,
+from reference import (_distance_table, annihilate, class_image_membership,
                        eigenspace_membership, expanded_annihilator,
                        image_membership, rank_of_incidence,
                        reference_algebra_witness, reference_btb,
-                       reference_intersection_witness, reference_relations)
+                       reference_intersection_witness, reference_matvec,
+                       reference_relations)
 
 
 def ctx_of(name):
@@ -609,6 +611,55 @@ def test_pair_walks_report_the_first_failing_pair():
     assert sch.verify_intersection_numbers() == witness
     assert reference_intersection_witness(
         sch, intersection_numbers(3, 1, 2)) is not None
+
+
+@pytest.mark.parametrize("name", DESK_SPACES)
+def test_distance_rows_are_kept_only_after_a_pass(name):
+    # the pair (0, h) moved from A_2 to A_1 both ways: the algebra fails
+    # and keeps no rows, so once the pair is back the pass rebuilds them
+    # from the mended relations, and the kept rows are the distances
+    sch = _fresh(name)
+    h = (sch.A[2][0] & -sch.A[2][0]).bit_length() - 1
+
+    def move():
+        for x, y in ((0, h), (h, 0)):
+            sch.A[2][x] ^= 1 << y
+            sch.A[1][x] ^= 1 << y
+    move()
+    assert sch.verify_distance_regularity()[1] is not None
+    assert sch._rows is None
+    move()
+    assert sch.verify_distance_regularity()[1] is None
+    assert sch._rows == [bytes(row) for row in _distance_table(sch)]
+    assert [sch._distance_row(u) for u in range(sch.n)] == sch._rows
+
+
+def test_matvec_matches_the_reference_on_random_masks():
+    # signed entries, some beyond 2^64, on empty, full, sparse, even and
+    # dense masks
+    rng = random.Random(7)
+    for name in ("W(3,2)", "Q-(5,2)", "Q(6,2)"):
+        sch = ctx_of(name)
+        n, bits = sch.n, rng.getrandbits
+        masks = [0, (1 << n) - 1] + [f(bits(n), bits(n)) for _ in range(15)
+                                     for f in (int.__and__, int.__or__,
+                                               lambda a, b: a)]
+        for bound in (3, 2 ** 70):
+            v = [rng.randrange(-bound, bound + 1) for _ in range(n)]
+            assert sch.matvec_mask(masks, v) == reference_matvec(masks, v)
+
+
+@pytest.mark.parametrize("name", DESK_SPACES)
+def test_matvec_matches_the_reference_on_the_bases(name):
+    # A_1 and K applied to the first two and the last basis vector of
+    # every V_j, each an eigenvector of both
+    sch = ctx_of(name)
+    for j, basis in sch.eigenspace_bases().items():
+        for w in basis[:2] + basis[-1:]:
+            for masks, i in ((sch.A[1], 1), (sch.K, sch.d)):
+                got = sch.matvec_mask(masks, w)
+                assert got == reference_matvec(masks, w)
+                assert got == [sch.P[j][i] * x for x in w]
 
 
 def test_btb_fires_at_an_odd_distance():

@@ -30,9 +30,13 @@ are one computation, not independent routes.
 The image test reads statement (iii)'s packed combination, so their
 agreement is the identity S_M = S that `scheme.Image` certifies, not a
 second computation; the incidence certificates of `scheme.Image` tie
-the image verdicts to M itself.  (iii) and (iv) are the independent
-routes.
-Statements (i)-(iii) work on the set's bitmask directly.
+the image verdicts to M itself.  `check_cl` sums (iii)'s columns once per
+check, and the image test reads that sum's verdict wherever its part
+holds the same combination and mask: types I and III and class sets.
+The two class parts of a type II full set have their own combinations
+and are summed apart.  (iii) and (iv) are the independent routes.
+Statements (i)-(iii) work on the set's bitmask directly; (i) and (iv)
+count in integers, as x = |L| / p is never formed there.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .counting import binom2, gaussian_binomial, pencil_size, qpow
+from .counting import binom2, gaussian_binomial, pencil_size, qint, qpow
 from .enumeration import PolarSpace
 from .geometry import GeometryError, VerificationError
 from .linalg import spread
@@ -81,6 +85,7 @@ class CLContext:
         self.n = space.n_generators
         self.type = space_type(desc)
         self.pencil = pencil_size(self.d, self.e, self.q)
+        self.top = qint(self.q, self.e + self.d - 1) + 1  # x of all of Omega
         self.valid_spreads: set[int] = set()  # masks already checked as spreads
         # each generator's points as packed fields: a sum over members
         # counts at most n per field, so it never carries
@@ -170,13 +175,13 @@ class CLReport:
 def test_disjointness_counts(gs: GenSet):
     """Statement (i): exact disjointness counts against every generator of
     the universe."""
-    members, f = gs.universe.members, gs.universe.f
-    x = gs.x * f
-    if x.denominator != 1:  # no popcount matches: the first member fails
-        return False, members[0]
-    expect = (x.numerator, x.numerator - f)  # indexed by chi_pi
+    u = gs.universe
+    xf, r = divmod(gs.size * u.f, u.pencil)  # x f = |L| f / p
+    if r:  # no popcount matches: the first member fails
+        return False, u.members[0]
+    expect = (xf, xf - u.f)  # indexed by chi_pi
     K, mask = gs.ctx.scheme.K, gs.mask
-    for pi in members:
+    for pi in u.members:
         if (K[pi] & mask).bit_count() != expect[(mask >> pi) & 1]:
             return False, pi
     return True, None
@@ -237,13 +242,24 @@ def image_parts(gs: GenSet):
     return which, [(ctx.scheme.image_basis(which), gs.mask)]
 
 
-def test_image(gs: GenSet):
-    """The type-dispatched image statement (`image_parts`); None on type IV."""
+def test_image(gs: GenSet, eigenspace=None):
+    """The type-dispatched image statement (`image_parts`); None on type IV.
+
+    `eigenspace`, statement (iii)'s verdict on gs if known, stands for the
+    sum of each part whose Image holds (iii)'s Combination T and whose
+    mask is gs's, as that sum is (iii)'s T.witness(gs.mask): the one part
+    of types I and III and of a class set.  The class parts of a type II
+    full set have their own T and are summed here.
+    """
     which, parts = image_parts(gs)
     if which is None:
         return None, None  # type IV: open
     same_x = len({m.bit_count() for _, m in parts}) == 1  # class parameters
-    return same_x and all(image.witness(m) is None for image, m in parts), which
+    T = None if eigenspace is None else gs.ctx.scheme.combination(
+        gs.universe.S, gs.class_label)
+    return same_x and all(
+        eigenspace if image.T is T and m == gs.mask else image.witness(m) is None
+        for image, m in parts), which
 
 
 def test_spread_intersections(gs: GenSet, spreads):
@@ -262,18 +278,17 @@ def test_spread_intersections(gs: GenSet, spreads):
             if not is_regular_system(GenSet(gs.ctx, s), 1):
                 raise GeometryError("supplied set is not a spread")
             valid.add(s)
-    x = gs.x
+    size, p = gs.size, gs.universe.pencil
     for i, s in enumerate(spreads):
-        got = (s & gs.mask).bit_count()
-        if got != x:
+        if (s & gs.mask).bit_count() * p != size:  # |L ^ S| = x = |L| / p
             return False, i
     return True, None
 
 
 def check_cl(gs: GenSet, spreads=None) -> CLReport:
     """Run the whole battery and collect verdicts plus failure witnesses."""
-    ctx = gs.ctx
-    rep = CLReport(x=gs.x, size=gs.size,
+    ctx, x = gs.ctx, gs.x
+    rep = CLReport(x=x, size=gs.size,
                    type_label="II" if gs.class_label else ctx.type)
     ok, wit = test_disjointness_counts(gs)
     rep.verdicts["disjointness_counts"] = ok
@@ -286,7 +301,7 @@ def check_cl(gs: GenSet, spreads=None) -> CLReport:
     ok, S = test_eigenspace(gs)
     rep.verdicts["eigenspace"] = ok
     rep.witnesses["eigenspace_indices"] = S
-    ok, which = test_image(gs)
+    ok, which = test_image(gs, ok)  # reads (iii)'s witness
     rep.verdicts["image"] = ok
     rep.witnesses["image_matrix"] = which
     if spreads is not None:
@@ -294,11 +309,9 @@ def check_cl(gs: GenSet, spreads=None) -> CLReport:
         rep.verdicts["spread_intersections"] = ok
         if wit is not None:
             rep.witnesses["spread_intersections"] = wit
-    if rep.is_cl:
-        top = qpow(ctx.q, ctx.e + ctx.d - 1) + 1
-        if gs.x.denominator != 1 or not 0 <= gs.x <= top:
-            raise VerificationError(f"positive verdict with x = {gs.x}, "
-                                    f"expected an integer in [0, {top}]")
+    if rep.is_cl and (x.denominator != 1 or not 0 <= x <= ctx.top):
+        raise VerificationError(f"positive verdict with x = {x}, "
+                                f"expected an integer in [0, {ctx.top}]")
     return rep
 
 

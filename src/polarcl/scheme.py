@@ -43,7 +43,7 @@ mu_i A'_i lies in the Bose-Mesner algebra and acts on V_j as theta_j =
 sum_i mu_i P'_{j,i}, so im(M^t) = im(M^t M) is the sum of the V_j over
 S_M = {j : theta_j != 0} (Godsil & Meagher, EKR Theorems: Algebraic
 Approaches, 2016; BCN, Distance-Regular Graphs, 1989, 2.2).  `Image`
-certifies S_M = S and reuses (iii)'s T.  No floating point anywhere.
+certifies S_M = S and holds (iii)'s T.  No floating point anywhere.
 
 Eigenspace bases (`eigenspace_bases`) take three steps, each exact.
 
@@ -70,8 +70,10 @@ Eigenspace bases (`eigenspace_bases`) take three steps, each exact.
   transposed pass; `linalg` derives its field width and the echelon's.
 
 Selectors and kept rows.  Every matvec over bitmask rows (`matvec_mask`,
-the algebra pass, the A_1 eigencheck) sums through byte selectors
-(`linalg.selectors`) with `itertools.compress`.  The algebra pass keeps
+the algebra pass, the A_1 eigencheck) and every sum of a set's columns
+(`Combination.witness`) sums through byte selectors (`linalg.selectors`)
+with `itertools.compress`; the distance rows are the selectors of the
+A_i[u] weighted by i.  The algebra pass keeps
 the n distance rows for the bases' columns once it passes, never on a
 witness: n^2 bytes (5.0 MB on Q+(7,3)), for the stretch preflight budget.
 """
@@ -161,8 +163,9 @@ class Combination:
 
     def witness(self, mask: int):
         """None if the columns of the mask's members sum to zero, else the
-        index of the lowest nonzero field: one big-int add per member."""
-        acc = sum([self.cols[g] for g in _bits(mask)])
+        index of the lowest nonzero field: the mask's byte selector picks
+        the members' columns, one big-int add each, at C level."""
+        acc = sum(compress(self.cols, selectors((mask,), len(self.cols))[0]))
         return ((acc & -acc).bit_length() - 1) // self.width if acc else None
 
     def first_field(self, acc: int):
@@ -212,7 +215,7 @@ class Image:
             raise VerificationError(
                 f"{self.name}: M^t M is nonzero on V_j for j in S_M = "
                 f"{sorted(theta)}, expected statement (iii)'s S = {sorted(u.S)}")
-        self.witness = T.witness
+        self.T, self.witness = T, T.witness
         self.rank = sum(multiplicity(P, j, u.N) for j in u.S)
         for r, m in enumerate(rows):
             if hit := T.first_field(sum([T.cols[g] for g in _bits(m)])):
@@ -319,8 +322,9 @@ class SchemeContext:
     def _distance_row(self, u: int) -> bytes:
         """Byte v is the distance of generators u and v."""
         return self._rows[u] if self._rows else sum(
-            i * spread(self.A[i][u], 8)
-            for i in range(1, self.d + 1)).to_bytes(self.n, "little")
+            i * int.from_bytes(sel, "little") for i, sel in enumerate(
+                selectors([a[u] for a in self.A[1:]], self.n), 1)
+        ).to_bytes(self.n, "little")
 
     def incidence(self, k: int):
         """C_k rows: for every (k-1)-space, the bitmask of generators on it.

@@ -1,17 +1,19 @@
 """Routes that only the tests call: the pair-loop references for the
 scheme's relations, its algebra, B^t B, the meeting graph and the
 matvec, the list-based annihilators for eigenspace membership, the
-certified kernel that decides image membership by elimination, the GQ
-line-set report, and small checks kept out of the library because
-nothing in it needs them."""
+certified kernel that decides image membership by elimination, the CL
+battery with member loops and Fraction counts, the GQ line-set report,
+and small checks kept out of the library because nothing in it needs
+them."""
 
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, lcm
 
 import polarcl.counting as counting
+from polarcl.clsets import CLReport, image_parts
 from polarcl.counting import (CountingError, binom2, gaussian_binomial,
-                              intersection_numbers, qint)
+                              intersection_numbers, qint, qpow)
 from polarcl.linalg import (PRIME, IntEchelon, ModEchelon, _bits, _pack,
                             eigencheck_width, spread)
 from polarcl.geometry import VerificationError
@@ -269,6 +271,54 @@ def gq_cl_report(gq, line_mask: int) -> dict:
 
 
 # -- sets ---------------------------------------------------------------------
+
+def member_witness(T, mask: int):
+    """`Combination.witness` as a loop over the members: the index of the
+    lowest nonzero field of the sum of their columns, or None."""
+    acc = sum([T.cols[g] for g in _bits(mask)])
+    return ((acc & -acc).bit_length() - 1) // T.width if acc else None
+
+
+def reference_check_cl(gs, spreads=None) -> CLReport:
+    """`check_cl` with the Fraction counts of (i) and (iv), member loops
+    for every column sum, and the image test summing its own columns
+    rather than reading (iii)'s witness.  Spreads are taken as valid."""
+    ctx, u, mask = gs.ctx, gs.universe, gs.mask
+    rep = CLReport(x=gs.x, size=gs.size,
+                   type_label="II" if gs.class_label else ctx.type)
+    xf, wit = gs.x * u.f, None
+    if xf.denominator != 1:
+        wit = u.members[0]
+    else:
+        expect = (xf, xf - u.f)
+        wit = next((pi for pi in u.members if (ctx.scheme.K[pi] & mask)
+                    .bit_count() != expect[mask >> pi & 1]), None)
+    rep.verdicts["disjointness_counts"] = wit is None
+    if wit is not None:
+        rep.witnesses["disjointness_counts"] = wit
+    rep.verdicts["eigenvector"] = wit is None
+    if wit is not None:
+        rep.witnesses["eigenvector"] = (u.mask & ((1 << wit) - 1)).bit_count()
+    T = ctx.scheme.combination(u.S, gs.class_label)
+    rep.verdicts["eigenspace"] = member_witness(T, mask) is None
+    rep.witnesses["eigenspace_indices"] = sorted(u.S)
+    which, parts = image_parts(gs)
+    rep.verdicts["image"] = None if which is None else (
+        len({m.bit_count() for _, m in parts}) == 1
+        and all(member_witness(image.T, m) is None for image, m in parts))
+    rep.witnesses["image_matrix"] = which
+    if spreads is not None:
+        bad = next((i for i, s in enumerate(spreads)
+                    if Fraction((s & mask).bit_count()) != gs.x), None)
+        rep.verdicts["spread_intersections"] = (
+            "vacuous" if not spreads else bad is None)
+        if bad is not None:
+            rep.witnesses["spread_intersections"] = bad
+    top = qpow(ctx.q, ctx.e + ctx.d - 1) + 1
+    if rep.is_cl and (gs.x.denominator != 1 or not 0 <= gs.x <= top):
+        raise VerificationError(f"positive verdict with x = {gs.x}")
+    return rep
+
 
 def intersection_profile(gs, pi: int):
     """n_i = members of L meeting generator pi in a (d-i-1)-space."""

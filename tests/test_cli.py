@@ -128,6 +128,40 @@ def test_search_artifacts_and_determinism(tmp_path):
     assert d1["manifest"]["completeness"] == "exhaustive"
 
 
+@pytest.mark.parametrize("name, construct, label", [
+    ("Q+(7,2)", ["point_pencil", "--point", "3"], ["--class", "latin"]),
+    ("Q(6,2)", ["hyperbolic_class", "--index", "5"], [])])
+def test_check_artifacts_agree_across_processes(tmp_path, name, construct,
+                                                label):
+    # two interpreters with different hash seeds write the same report
+    # bytes; only the manifest's timing and command may differ
+    space_file, setfile = tmp_path / "space.json", tmp_path / "set.txt"
+    assert run(["space", "enumerate", "--space-name", name,
+                "--out", str(space_file)]) == 0
+    assert run(["construct", "--space", str(space_file), "--kind", *construct,
+                *label, "--out", str(setfile)]) == 0
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    texts = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"report{seed}.json"
+        env = {**os.environ, "PYTHONPATH": os.path.join(root, "src"),
+               "PYTHONHASHSEED": seed}
+        proc = subprocess.run(
+            [sys.executable, "-m", "polarcl", "check", "--space", str(space_file),
+             "--set", str(setfile), *label, "--out", str(out)],
+            cwd=root, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        texts.append(out.read_text())
+    blanked = []
+    for text in texts:
+        data = json.loads(text)
+        assert json.dumps(data, indent=1, sort_keys=True) + "\n" == text
+        data["manifest"]["timing"] = data["manifest"]["command"] = None
+        blanked.append(json.dumps(data, indent=1, sort_keys=True))
+    assert blanked[0] == blanked[1]
+    assert json.loads(texts[0])["report"]["is_cameron_liebler"] is True
+
+
 def test_search_cl_and_spread_files(tmp_path, capsys):
     space_file = tmp_path / "w32.json"
     run(["space", "enumerate", "--space-name", "W(3,2)", "--out",

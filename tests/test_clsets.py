@@ -1,5 +1,6 @@
 """The Cameron-Liebler battery: tests, constructions, distributions."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from polarcl.search import find_spreads
 
 from reference import (class_image_membership, eigenspace_membership,
                        image_membership, intersection_profile,
-                       regular_system_m)
+                       reference_check_cl, regular_system_m)
 
 
 def ctx_of(name):
@@ -521,6 +522,96 @@ def test_characterisations_agree(gs):
     assert (rep.verdicts["eigenvector"],
             rep.witnesses.get("eigenvector")) == reference_eigenvector(gs)
     assert rep.verdicts["eigenspace"] == reference_eigenspace(gs)[0]
+
+
+# -- the battery against its member-loop, Fraction-count reference -------------
+
+_SPREADS = {"W(3,2)": 6, "Q(4,2)": 6, "Q-(5,2)": 20, "W(3,3)": 20,
+            "H(3,4)": 0, "Q+(5,2)": 0}  # spreads passed on each space
+
+
+def reference_cases(ctx, label, rng):
+    """Pencils, complements and random masks in every size band (none, a
+    few, about a pencil, about half, all) in one universe; on Omega also
+    hyperbolic classes (type III) and sets across both classes (type II)."""
+    sp, u = ctx.space, ctx.restricted(label)
+    rows, N, p = sp.point_gen_masks(), len(u.members), u.pencil
+    pencils = [construct_point_pencil(ctx, pt, label)
+               for pt in rng.sample(range(len(sp.points)), 3)]
+    masks = [gs.mask for gs in pencils] + [complement(gs).mask for gs in pencils]
+    for size in (0, 1, 2, 3, p - 1, p, p + 1, N // 2, N // 2 + 1, N - 1, N):
+        masks.append(sum(1 << g for g in rng.sample(u.members, size)))
+    if label is None and ctx.type == "III":
+        classes = sp.hyperbolic_classes()
+        masks += [classes[i] for i in rng.sample(range(len(classes)), 2)]
+    if label is None and ctx.type == "II":
+        latin, greek = sp.class_mask("latin"), sp.class_mask("greek")
+        a, b = rng.sample(range(len(sp.points)), 2)
+        masks += [latin, greek, rows[a] & latin, (rows[a] & latin) | (rows[b] & greek),
+                  greek | (rows[a] & latin), (rows[a] | rows[b]) & latin]
+    return [GenSet(ctx, m, label) for m in masks]
+
+
+@pytest.mark.parametrize("name, label", [
+    ("W(3,2)", None), ("Q(4,2)", None), ("Q-(5,2)", None), ("W(3,3)", None),
+    ("H(3,4)", None), ("Q+(5,2)", None), ("Q(6,2)", None), ("W(5,2)", None),
+    ("Q+(7,2)", None), ("Q+(7,2)", "latin"), ("Q+(7,2)", "greek")])
+def test_battery_matches_the_member_loop_reference(name, label):
+    # one (iii) sum shared with the image test, selector sums and integer
+    # counts in (i) and (iv) give the same report bytes as the plain form
+    ctx = ctx_of(name)
+    rng = random.Random(f"reference:{name}:{label}")
+    spreads = None
+    if label is None and name in _SPREADS:
+        spreads = find_spreads(ctx.space).solutions[:_SPREADS[name]]
+    outcomes = set()
+    for gs in reference_cases(ctx, label, rng):
+        got = check_cl(gs, spreads=spreads).to_json()
+        assert json.dumps(got) == json.dumps(
+            reference_check_cl(gs, spreads).to_json()), hex(gs.mask)
+        outcomes.add(got["is_cameron_liebler"])
+    assert outcomes == {True, False}
+
+
+@pytest.mark.under_optimize("test_battery_matches_the_member_loop_reference")
+def test_battery_matches_the_member_loop_reference_under_optimize(
+        run_under_optimize):
+    run_under_optimize(11)
+
+
+@pytest.mark.parametrize("name, label", [
+    ("Q-(5,2)", None), ("Q(6,2)", None), ("Q+(7,2)", "latin")])
+def test_alternating_masks_carry_nothing_between_checks(name, label):
+    # a pencil and the same pencil with one generator flipped, in turn on
+    # one universe: a verdict or witness kept from the previous call or
+    # mask would show in the next report
+    ctx = ctx_of(name)
+    members = ctx.restricted(label).members
+    for pt in range(4):
+        cl = construct_point_pencil(ctx, pt, label)
+        non = GenSet(ctx, cl.mask ^ 1 << members[pt], label)
+        for gs in (cl, non, cl, non):
+            rep = check_cl(gs)
+            assert rep.to_json() == reference_check_cl(gs).to_json()
+            assert rep.is_cl is (gs is cl)
+            assert rep.verdicts["eigenspace"] is rep.verdicts["image"] is rep.is_cl
+
+
+def test_image_reads_the_eigenspace_verdict_only_for_the_same_sum():
+    # a contrary verdict handed in stands for the sum of the one part on
+    # types I and III and on a class; the class parts of a type II full set
+    # have their own combination, even where their mask is the set's (the
+    # empty set)
+    for name, label in (("W(3,2)", None), ("Q(6,2)", None), ("Q+(7,2)", "latin")):
+        gs = construct_point_pencil(ctx_of(name), 0, label)
+        assert image_test(gs)[0] is True and image_test(gs, False)[0] is False
+    ctx = ctx_of("Q+(7,2)")
+    for gs in (GenSet(ctx, 0), construct_point_pencil(ctx, 0)):
+        assert image_test(gs)[0] is True and image_test(gs, False)[0] is True
+    gs = GenSet(ctx, ctx.space.class_mask("latin") | ctx.space.class_mask("greek"))
+    assert image_test(gs, False)[0] is True
+    non = GenSet(ctx, 1 << ctx.space.class_members("latin")[0])
+    assert image_test(non)[0] is False and image_test(non, True)[0] is False
 
 
 # -- verification that survives python -O --------------------------------------

@@ -142,12 +142,21 @@ def write_generator_set(path, space: PolarSpace, mask: int,
 
 
 def load_spreads(path, space: PolarSpace) -> list[int]:
+    """Read the solutions of a spread file, each a list of generator
+    indices, into bitmasks over the canonical generator order."""
     with open(path) as fh:
         data = json.load(fh)
+    sols = data.get("solutions") if isinstance(data, dict) else None
+    if not isinstance(sols, list) or not all(isinstance(s, list) for s in sols):
+        raise GeometryError(f"{path}: not a spread file, no \"solutions\" "
+                            "list of generator index lists")
     out = []
-    for sol in data["solutions"]:
+    for sol in sols:
         mask = 0
         for idx in sol:
+            if not isinstance(idx, int) or not 0 <= idx < space.n_generators:
+                raise GeometryError(f"{path}: generator index {idx!r} is not "
+                                    f"in 0..{space.n_generators - 1}")
             mask |= 1 << idx
         out.append(mask)
     return out

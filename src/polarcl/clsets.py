@@ -32,7 +32,8 @@ agreement is the identity S_M = S that `scheme.Image` certifies, not a
 second computation; the incidence certificates of `scheme.Image` tie
 the image verdicts to M itself.  `check_cl` sums (iii)'s columns once per
 check, and the image test reads that sum's verdict wherever its part
-holds the same combination and mask: types I and III and class sets.
+holds the same combination (the universe's `T`) and mask: types I and
+III and class sets.
 The two class parts of a type II full set have their own combinations
 and are summed apart.  (iii) and (iv) are the independent routes.
 Statements (i)-(iii) work on the set's bitmask directly; (i) and (iv)
@@ -212,9 +213,8 @@ def _eigenvector_from(gs: GenSet, verdict):
 
 def test_eigenspace(gs: GenSet):
     """Statement (iii): chi in the universe's orthogonal sum of V_j."""
-    S = gs.universe.S
-    T = gs.ctx.scheme.combination(S, gs.class_label)
-    return T.witness(gs.mask) is None, sorted(S)
+    u = gs.universe
+    return u.T.witness(gs.mask) is None, sorted(u.S)
 
 
 def image_parts(gs: GenSet):
@@ -255,8 +255,7 @@ def test_image(gs: GenSet, eigenspace=None):
     if which is None:
         return None, None  # type IV: open
     same_x = len({m.bit_count() for _, m in parts}) == 1  # class parameters
-    T = None if eigenspace is None else gs.ctx.scheme.combination(
-        gs.universe.S, gs.class_label)
+    T = None if eigenspace is None else gs.universe.T
     return same_x and all(
         eigenspace if image.T is T and m == gs.mask else image.witness(m) is None
         for image, m in parts), which

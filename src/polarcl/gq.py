@@ -49,15 +49,6 @@ class GQ:
                 m |= self.line_masks[li]
             self.perp[p] = m
         self.validate()
-        # line concurrence and disjointness masks, from the lines' points
-        every = (1 << self.n_lines) - 1
-        self.line_meets, self.line_disjoint = [], []
-        for i, l in enumerate(self.lines):
-            through = 0
-            for p in l:
-                through |= self.point_lines[p]
-            self.line_meets.append(through & ~(1 << i))
-            self.line_disjoint.append(every & ~through)
 
     def validate(self):
         """The three axioms, checked exhaustively."""

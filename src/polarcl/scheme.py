@@ -81,6 +81,7 @@ witness: n^2 bytes (5.0 MB on Q+(7,3)), for the stretch preflight budget.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from math import gcd, isqrt, lcm, prod
 
@@ -206,7 +207,7 @@ class Image:
     M^t M G chi = s chi."""
 
     def __init__(self, u, which: str, rows):
-        T = u.ctx.combination(u.S, u.label)
+        T = u.T
         P, self._R, self._U, self.rows = u.P, u.rows, u.mask, rows
         theta = image_support(which, u.ctx.d, u.ctx.space.desc.q, P)
         self.name = f"{u.ctx.space.name()} M = {which}" + (
@@ -525,7 +526,7 @@ class RestrictedScheme:
 
     It holds U's mask, members and N = |U|, the distances i of its
     relations A'_t = A_{distances[t]} with their rows and P', statement
-    (iii)'s S, the pencil size p (a set's parameter is x = |L| / p) and
+    (iii)'s S and its Combination T (built on first use), the pencil size p (a set's parameter is x = |L| / p) and
     f = q^{C(d-1,2)+e(d-1)}, the disjointness count of statement (i) (e = 0
     on a class).  At build it certifies, on a class, P' as the characters
     of p'^t_sr = p^{2t}_{2s,2r} (w at even distance from u is in u's
@@ -564,6 +565,11 @@ class RestrictedScheme:
                 raise VerificationError(f"statement (ii) from (i): |K_{g} ^ U| "
                                         f"is {got}, expected N f / p - f = {want}")
         self._image_basis_cache = None
+
+    @cached_property
+    def T(self) -> Combination:
+        """Statement (iii)'s Combination on this universe."""
+        return self.ctx.combination(self.S, self.label)
 
     def image_basis(self) -> Image:
         """im(A'^t) on a class, A' = points x class generators; see `Image`."""

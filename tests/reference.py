@@ -7,8 +7,9 @@ and small checks kept out of the library because nothing in it needs
 them."""
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import gcd, isqrt, lcm
+from operator import or_
 
 import polarcl.counting as counting
 from polarcl.clsets import CLReport, image_parts
@@ -254,15 +255,19 @@ def gq_cl_report(gq, line_mask: int) -> dict:
     v_i = ech.contains(chi)
     # (ii) orthogonality to the kernel of A
     v_ii = gq_kernel(gq).witness(line_mask) is None
-    # (iii) disjointness counts and (iv) meeting counts
-    v_iii = all((gq.line_disjoint[li] & line_mask).bit_count()
+    # (iii) disjointness counts and (iv) meeting counts, from the lines
+    # through some point of each line
+    through = [reduce(or_, (gq.point_lines[p] for p in l)) for l in gq.lines]
+    meets = [t & ~(1 << li) for li, t in enumerate(through)]
+    disjoint = [~t & (1 << gq.n_lines) - 1 for t in through]
+    v_iii = all((disjoint[li] & line_mask).bit_count()
                 == (x - chi[li]) * gq.t for li in range(gq.n_lines))
-    v_iv = all((gq.line_meets[li] & line_mask).bit_count()
+    v_iv = all((meets[li] & line_mask).bit_count()
                == x + chi[li] * (gq.t - 1) for li in range(gq.n_lines))
     # (v) eigenvector of the disjointness matrix for -t, scaled by
     # n = (t+1)(st+1): w = n (chi - x/(st+1) j)
     w = [gq.n_lines * c - line_mask.bit_count() for c in chi]
-    v_v = all(sum(w[j] for j in _bits(gq.line_disjoint[li])) == -gq.t * w[li]
+    v_v = all(sum(w[j] for j in _bits(disjoint[li])) == -gq.t * w[li]
               for li in range(gq.n_lines))
     consistent = v_i == v_ii == v_iii == v_iv == v_v
     return {"x": x, "im_At": v_i, "ker_perp": v_ii, "disjoint_counts": v_iii,

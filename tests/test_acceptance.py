@@ -9,7 +9,9 @@ from types import SimpleNamespace
 import pytest
 
 from polarcl import suite
+from polarcl.cli import main
 from polarcl.clsets import VerificationError
+from polarcl.scheme import SchemeContext
 
 
 def _run(fn):
@@ -83,3 +85,85 @@ def test_criterion_11_two_generator_counts():
 
 def test_criterion_12_spread_facts():
     _run(suite.criterion_12)
+
+
+# -- every criterion can fail -----------------------------------------------
+
+
+def _plus_one(name):
+    def tamper(monkeypatch):
+        orig = getattr(suite, name)
+        monkeypatch.setattr(suite, name, lambda *args: orig(*args) + 1)
+    return tamper
+
+
+def _stub(name, value):
+    def tamper(monkeypatch):
+        monkeypatch.setattr(suite, name, lambda *args, **kw: value)
+    return tamper
+
+
+def _algebra_off(monkeypatch):
+    monkeypatch.setattr(SchemeContext, "verify_distance_regularity",
+                        lambda self: (None, (0, 1, 1, 3, 2)))
+
+
+def _matvec_off(monkeypatch):
+    orig = SchemeContext.matvec_mask
+    monkeypatch.setattr(SchemeContext, "matvec_mask",
+                        lambda self, masks, v: [x + 1 for x in orig(self, masks, v)])
+
+
+def _eigenspace_flipped(monkeypatch):
+    orig = suite.check_cl
+
+    def check(gs, spreads=None):
+        rep = orig(gs, spreads=spreads)
+        rep.verdicts["eigenspace"] = not rep.verdicts["eigenspace"]
+        return rep
+    monkeypatch.setattr(suite, "check_cl", check)
+
+
+def _profile_off(monkeypatch):
+    orig = suite.profile_verdict
+
+    def verdict(gs, pi):
+        ok, got, exp = orig(gs, pi)
+        return False, got, exp
+    monkeypatch.setattr(suite, "profile_verdict", verdict)
+
+
+# criterion -> (tamper, the detail its FAIL line prints)
+FAILURES = {
+    1: (_plus_one("num_kspaces"), "Q+(5,2) level 1"),
+    2: (_algebra_off, "Q(6,2): (0, 1, 1, 3, 2)"),
+    3: (_matvec_off, "Q(6,2) V_0"),
+    4: (_eigenspace_flipped, "Q+(5,2) mask size 6: {'disjointness_counts': "
+        "True, 'eigenvector': True, 'eigenspace': False, 'image': True, "
+        "'spread_intersections': 'vacuous'}"),
+    5: (_plus_one("qint"), "complement Q+(5,2): x=4, CL=True"),
+    6: (_profile_off, "pencil W(3,2) probe 0: [1, 2, 0] vs [1, 2, 0]"),
+    7: (_stub("find_regular_systems", SimpleNamespace(solutions=[])),
+        "none found"),
+    8: (_stub("classify_parameter1", "other"), "W(3,2): {'other': 15}"),
+    9: (_stub("find_tight_sets", SimpleNamespace(exhaustive=False)),
+        "GQ(2,2) truncated"),
+    10: (_stub("union_of_pencils_decomposition", None), "x=1: unexplained set"),
+    11: (_plus_one("kms_disjoint_to_two"), "Q+(7,2) v=-1: 28 != 29"),
+    12: (_stub("test_spread_intersections", (False, 0)),
+         "W(3,2): pencil vs spread 0"),
+}
+
+
+@pytest.mark.parametrize("number", sorted(FAILURES))
+def test_every_criterion_can_fail(monkeypatch, capsys, number):
+    tamper, detail = FAILURES[number]
+    tamper(monkeypatch)
+    monkeypatch.setattr(suite, "ALL_CRITERIA",
+                        [getattr(suite, f"criterion_{number}")])
+    capsys.readouterr()
+    assert main(["suite"]) == 1
+    line, total = capsys.readouterr().out.splitlines()
+    assert line.startswith(f"[FAIL] criterion {number:2d} - "), line
+    assert line.endswith(f": {detail}"), line
+    assert total == "0/1 criteria passed"

@@ -128,6 +128,32 @@ def test_search_artifacts_and_determinism(tmp_path):
     assert d1["manifest"]["completeness"] == "exhaustive"
 
 
+def _agree_across_processes(tmp_path, *argv):
+    """Run `polarcl <argv> --out` side by side in two interpreters with
+    hash seeds 1 and 2: the artifacts must be canonical JSON, the same
+    bytes outside the manifest's timing and command.  Returns the first."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    outs = [tmp_path / f"artifact{seed}.json" for seed in ("1", "2")]
+    procs = [subprocess.Popen(
+        [sys.executable, "-m", "polarcl", *argv, "--out", str(out)], cwd=root,
+        env={**os.environ, "PYTHONPATH": os.path.join(root, "src"),
+             "PYTHONHASHSEED": seed},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for seed, out in zip(("1", "2"), outs)]
+    for proc in procs:
+        stdout, stderr = proc.communicate()
+        assert proc.returncode == 0, stdout + stderr
+    blanked = []
+    for out in outs:
+        text = out.read_text()
+        data = json.loads(text)
+        assert json.dumps(data, indent=1, sort_keys=True) + "\n" == text
+        data["manifest"]["timing"] = data["manifest"]["command"] = None
+        blanked.append(json.dumps(data, indent=1, sort_keys=True))
+    assert blanked[0] == blanked[1]
+    return json.loads(outs[0].read_text())
+
+
 @pytest.mark.parametrize("name, construct, label", [
     ("Q+(7,2)", ["point_pencil", "--point", "3"], ["--class", "latin"]),
     ("Q(6,2)", ["hyperbolic_class", "--index", "5"], [])])
@@ -140,26 +166,16 @@ def test_check_artifacts_agree_across_processes(tmp_path, name, construct,
                 "--out", str(space_file)]) == 0
     assert run(["construct", "--space", str(space_file), "--kind", *construct,
                 *label, "--out", str(setfile)]) == 0
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    texts = []
-    for seed in ("1", "2"):
-        out = tmp_path / f"report{seed}.json"
-        env = {**os.environ, "PYTHONPATH": os.path.join(root, "src"),
-               "PYTHONHASHSEED": seed}
-        proc = subprocess.run(
-            [sys.executable, "-m", "polarcl", "check", "--space", str(space_file),
-             "--set", str(setfile), *label, "--out", str(out)],
-            cwd=root, env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        texts.append(out.read_text())
-    blanked = []
-    for text in texts:
-        data = json.loads(text)
-        assert json.dumps(data, indent=1, sort_keys=True) + "\n" == text
-        data["manifest"]["timing"] = data["manifest"]["command"] = None
-        blanked.append(json.dumps(data, indent=1, sort_keys=True))
-    assert blanked[0] == blanked[1]
-    assert json.loads(texts[0])["report"]["is_cameron_liebler"] is True
+    report = _agree_across_processes(tmp_path, "check", "--space", str(space_file),
+                                     "--set", str(setfile), *label)["report"]
+    assert report["is_cameron_liebler"] is True
+
+
+def test_suite_artifacts_agree_across_processes(tmp_path):
+    # the whole battery, corpus included, writes the same artifact under
+    # two hash seeds
+    results = _agree_across_processes(tmp_path, "suite")["results"]
+    assert [r["criterion"] for r in results if r["ok"]] == list(range(1, 13))
 
 
 def test_search_cl_and_spread_files(tmp_path, capsys):
@@ -393,6 +409,17 @@ def _class_on_odd_rank(*argv):
     return case
 
 
+def _spread_file(content, message):
+    """`check --spreads` on W(3,2) with a malformed spread file."""
+    def case(tmp_path):
+        (tmp_path / "one.txt").write_text("idx:0\n")
+        spreads = tmp_path / "spreads.json"
+        spreads.write_text(json.dumps(content))
+        return (["check", "--space", str(_w32_file(tmp_path)), "--set",
+                 str(tmp_path / "one.txt"), "--spreads", str(spreads)], message)
+    return case
+
+
 BAD_INPUTS = {
     "space-without-manifest": _no_manifest,
     "point-past-the-last": _construct_arg("--point", "9999", "point_pencil"),
@@ -420,6 +447,12 @@ BAD_INPUTS = {
     "search-cl-class-on-odd-rank": _class_on_odd_rank(
         "search", "cl", "--space", "{space}", "--class", "latin",
         "--out", "{dir}/res.json"),
+    "spreads-without-solutions": _spread_file({"x": 1}, "not a spread file"),
+    "spreads-solution-not-a-list": _spread_file({"solutions": [5]},
+                                                "not a spread file"),
+    "spreads-top-level-list": _spread_file([[0, 1, 2]], "not a spread file"),
+    "spreads-negative-index": _spread_file(
+        {"solutions": [[-1]]}, "generator index -1 is not in 0..14"),
 }
 
 

@@ -81,9 +81,10 @@ witness: n^2 bytes (5.0 MB on Q+(7,3)), for the stretch preflight budget.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress
 from math import gcd, isqrt, lcm, prod
+from operator import or_
 
 from .counting import (EigenvalueTable, binom2, character_problem,
                        intersection_numbers, multiplicity, parameter_b,
@@ -303,7 +304,8 @@ class SchemeContext:
 
     def _relations(self):
         """A[i][g] for every relation i and generator g, read off the
-        bit-sliced point counts (see the module docstring)."""
+        bit-sliced point counts (see the module docstring); on Q+, every
+        g's class must be the union of its even-distance rows."""
         sp, d, n = self.space, self.d, self.n
         q, rows, full = sp.desc.q, sp.point_gen_masks(), (1 << n) - 1
         counts = gram_coefficients("A", d, q)
@@ -318,6 +320,14 @@ class SchemeContext:
                 raise VerificationError(
                     f"generator {g} shares a subspace's point count with "
                     f"{covered} generators, expected all {n}")
+        for g, label in enumerate(sp.class_labels or ()):
+            even = reduce(or_, (a[g] for a in A[::2]))
+            cls = sp.class_mask(label)
+            if even != cls:
+                raise VerificationError(
+                    f"generator {g} of {sp.name()} is at even distance from "
+                    f"{even.bit_count()} generators, expected the "
+                    f"{cls.bit_count()} of the {label} class")
         return A
 
     def _distance_row(self, u: int) -> bytes:

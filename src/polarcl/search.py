@@ -10,9 +10,9 @@ exhaustive and says in `stopped_by` which limit fired: the node budget
 ("budget") or the caller's solution limit ("limit").
 
 Spread search is exact cover over the point-generator incidence with the
-usual lowest-branching-column heuristic; every solution is reached along
-exactly one branch, so no symmetry anchor is needed.  Parameter-1 CL
-sets are cliques of the meeting graph.
+usual lowest-branching-column heuristic over the uncovered points; every
+solution is reached along exactly one branch, so no symmetry anchor is
+needed.  Parameter-1 CL sets are cliques of the meeting graph.
 
 Regular systems, tight sets and bounded CL sets share one in/out engine
 (`_in_out`).  It decides objects 0..n-1 in index order, in before out,
@@ -59,12 +59,14 @@ dropped when a fixed-target H field goes negative (`fixed` guard), an
 exclude when a pinned H field does (`pinned` guard); the size counter is
 in neither, so it only fails at entry.
 
-Explicit stack.  A node is (k, state, mask), all immutable, so nothing
-is undone.  A node pushes its out-child and then its in-child; the
-in-child is popped first and its whole subtree before the out-child, so
-the preorder, the node counts and the solution order are those of the
-recursion "in, then out", while the depth is bounded only by memory.
-When the budget or the solution limit fires, the pass stops.
+Explicit stack, live nodes only.  A node is (k, state, mask), all
+immutable.  A live node pushes its out-child, then walks its feasible
+in-child in place (k + 1, mask | 1 << k).  A dead child is counted where
+the recursion "in, then out" enters it: a dead in-child at once, a dead
+out-child as a None marker popped after the in-subtree.  So the node
+counts, the solutions and their order are the recursion's, every budget
+or solution limit stops at the same node, and the depth is bounded only
+by memory.
 """
 
 from __future__ import annotations
@@ -169,26 +171,44 @@ def _in_out(res: SearchResult, limit: int, n: int, size: int, rels, leaf,
 
     found: list[int] = []
     nodes = res.nodes
-    stack = [(0, state, 0)]
-    while stack:
-        k, state, mask = stack.pop()
+    # the pass stops at the node that takes `nodes` past the cap, lowered
+    # to a leaf's count when it reaches the solution limit; the root is
+    # entered even when an earlier pass already spent the budget
+    cap = (nodes if max_solutions is not None and max_solutions <= 0
+           else max(limit, nodes))
+    stack = [(0, state, 0) if state & guard == guard else None]
+    push = stack.append
+    while stack and nodes <= cap:
+        node = stack.pop()
         nodes += 1
-        if nodes > limit or (max_solutions is not None
-                             and len(found) >= max_solutions):
-            res.stopped_by = "budget" if nodes > limit else "limit"
-            break
-        if state & guard != guard:
+        if node is None or nodes > cap:  # a dead out-child, or the stop
             continue
-        if k == n:
+        k, state, mask = node
+        while k < n:
+            out = state + step_out[k]
+            g = out & guard
+            if g == guard:
+                push((k + 1, out, mask))
+            elif g & pinned == pinned:
+                push(None)
+            state += step_in[k]
+            g = state & guard
+            if g != guard:
+                if g & fixed == fixed:  # a dead in-child, entered here
+                    nodes += 1
+                break
+            nodes += 1
+            if nodes > cap:
+                break
+            mask |= 1 << k
+            k += 1
+        else:
             if leaf(mask):
                 found.append(mask)
-            continue
-        out = state + step_out[k]
-        if out & pinned == pinned:
-            stack.append((k + 1, out, mask))
-        into = state + step_in[k]
-        if into & fixed == fixed:
-            stack.append((k + 1, into, mask | 1 << k))
+                if len(found) == max_solutions:
+                    cap = nodes
+    if nodes > cap:
+        res.stopped_by = "budget" if nodes > limit else "limit"
     res.nodes = nodes
     return found
 
@@ -243,10 +263,9 @@ def find_spreads(space, budget=None, max_solutions=None,
     ctx = get_context(space)
     limit = node_budget(budget)
     point_rows = space.point_gen_masks()
-    npts = len(space.points)
     gen_pts = space.gen_point_masks
     res = SearchResult("spread")
-    all_pts = (1 << npts) - 1
+    all_pts = (1 << len(space.points)) - 1
     clash = [0] * space.n_generators  # generators sharing a point with g
     for g, pm in enumerate(gen_pts):
         for p in _bits(pm):
@@ -259,7 +278,7 @@ def find_spreads(space, budget=None, max_solutions=None,
         pre_covered |= gen_pts[g]
         avail_all &= ~clash[g]
 
-    def rec(covered: int, avail: int, chosen: list[int]):
+    def rec(covered: int, avail: int, mask: int):
         res.nodes += 1
         if res.nodes > limit:
             res.stopped_by = "budget"
@@ -268,31 +287,28 @@ def find_spreads(space, budget=None, max_solutions=None,
             res.stopped_by = "limit"
             return
         if covered == all_pts:
-            mask = sum(1 << g for g in chosen)
             _certify(is_regular_system(GenSet(ctx, mask), 1), "spread")
             res.solutions.append(mask)
             return
-        best = None
-        for p in range(npts):
-            if (covered >> p) & 1:
-                continue
-            cand = point_rows[p] & avail
+        free = all_pts & ~covered
+        best, fewest = 0, space.n_generators + 1
+        while free:  # the uncovered points, lowest first
+            low = free & -free
+            free ^= low
+            cand = point_rows[low.bit_length() - 1] & avail
             cnt = cand.bit_count()
             if cnt == 0:
                 return
-            if best is None or cnt < best[1]:
-                best = (cand, cnt)
+            if cnt < fewest:
+                best, fewest = cand, cnt
                 if cnt == 1:
                     break
-        cand = best[0]
-        for g in _bits(cand):
-            chosen.append(g)
-            rec(covered | gen_pts[g], avail & ~clash[g], chosen)
-            chosen.pop()
+        for g in _bits(best):
+            rec(covered | gen_pts[g], avail & ~clash[g], mask | 1 << g)
             if res.stopped_by:
                 return
 
-    rec(pre_covered, avail_all, list(containing))
+    rec(pre_covered, avail_all, sum(1 << g for g in containing))
     res.solutions.sort()
     return res
 
@@ -354,37 +370,34 @@ def find_cl_parameter1(space, class_label: str | None = None,
     target = ctx.restricted(class_label).pencil
     nu = len(universe)
     res = SearchResult("cl_parameter1")
-    clique: list[int] = []
+    bit = [1 << g for g in universe]
+    nodes = 0
 
-    def rec(cand: int, start: int):
-        res.nodes += 1
-        if res.nodes > limit:
+    def rec(cand: int, start: int, need: int, mask: int):
+        """Enter the clique `mask`, which lacks `need` members."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > limit:
             res.stopped_by = "budget"
             return
-        if len(clique) == target:
-            mask = sum(1 << universe[t] for t in clique)
+        if not need:
             gs = GenSet(ctx, mask, class_label)
             rep = check_cl(gs)
             if rep.is_cl:
                 _certify(gs.x == 1, "parameter-1 CL set")
                 res.solutions.append(mask)
             return
-        if len(clique) + cand.bit_count() < target:
-            return
-        m = cand & ~((1 << start) - 1)
-        while m:
+        m = cand >> start << start
+        while m.bit_count() >= need:  # else too few candidates remain
             low = m & -m
             t = low.bit_length() - 1
             m ^= low
-            if len(clique) + (cand >> t).bit_count() < target:
-                return
-            clique.append(t)
-            rec(cand & meets[t], t + 1)
-            clique.pop()
-            if res.stopped_by:
+            rec(cand & meets[t], t + 1, need - 1, mask | bit[t])
+            if nodes > limit:
                 return
 
-    rec((1 << nu) - 1, 0)
+    rec((1 << nu) - 1, 0, target, 0)
+    res.nodes = nodes
     res.solutions.sort()
     return res
 

@@ -3,8 +3,9 @@ scheme's relations, its algebra, B^t B, the meeting graph and the
 matvec, the list-based annihilators for eigenspace membership, the
 certified kernel that decides image membership by elimination, the CL
 battery with member loops and Fraction counts, the GQ line-set report,
-and small checks kept out of the library because nothing in it needs
-them."""
+the recursive spread and parameter-1 searches that the library's loops
+must match node for node, and small checks kept out of the library
+because nothing in it needs them."""
 
 from fractions import Fraction
 from functools import cache, reduce
@@ -531,3 +532,112 @@ def reference_intersection_witness(sch, p):
                     if got != p[i][j][k]:
                         return (u, v, i, j, got, p[i][j][k])
     return None
+
+
+# -- the recursive searches, one node at a time -------------------------------
+
+
+def reference_spreads(space, budget=None, max_solutions=None, containing=()):
+    """`search.find_spreads` as a recursion that scans every point for the
+    branching column and checks both limits at every node."""
+    from polarcl.clsets import GenSet, get_context, is_regular_system
+    from polarcl.search import SearchResult, _certify, node_budget
+    ctx = get_context(space)
+    limit = node_budget(budget)
+    point_rows = space.point_gen_masks()
+    npts = len(space.points)
+    gen_pts = space.gen_point_masks
+    res = SearchResult("spread")
+    all_pts = (1 << npts) - 1
+    clash = [0] * space.n_generators
+    for g, pm in enumerate(gen_pts):
+        for p in _bits(pm):
+            clash[g] |= point_rows[p]
+    avail_all = (1 << space.n_generators) - 1
+    pre_covered = 0
+    for g in containing:
+        if gen_pts[g] & pre_covered:
+            raise ValueError("preselected generators are not pairwise disjoint")
+        pre_covered |= gen_pts[g]
+        avail_all &= ~clash[g]
+
+    def rec(covered: int, avail: int, chosen: list[int]):
+        res.nodes += 1
+        if res.nodes > limit:
+            res.stopped_by = "budget"
+            return
+        if max_solutions is not None and len(res.solutions) >= max_solutions:
+            res.stopped_by = "limit"
+            return
+        if covered == all_pts:
+            mask = sum(1 << g for g in chosen)
+            _certify(is_regular_system(GenSet(ctx, mask), 1), "spread")
+            res.solutions.append(mask)
+            return
+        best = None
+        for p in range(npts):
+            if (covered >> p) & 1:
+                continue
+            cand = point_rows[p] & avail
+            cnt = cand.bit_count()
+            if cnt == 0:
+                return
+            if best is None or cnt < best[1]:
+                best = (cand, cnt)
+                if cnt == 1:
+                    break
+        for g in _bits(best[0]):
+            chosen.append(g)
+            rec(covered | gen_pts[g], avail & ~clash[g], chosen)
+            chosen.pop()
+            if res.stopped_by:
+                return
+
+    rec(pre_covered, avail_all, list(containing))
+    res.solutions.sort()
+    return res
+
+
+def reference_cl_parameter1(space, class_label=None, budget=None):
+    """`search.find_cl_parameter1` as a recursion over a clique list that
+    counts its members at every node."""
+    from polarcl.clsets import GenSet, check_cl, get_context
+    from polarcl.search import (SearchResult, _certify, meeting_graph,
+                                node_budget)
+    ctx = get_context(space)
+    limit = node_budget(budget)
+    universe, meets = meeting_graph(ctx, class_label)
+    target = ctx.restricted(class_label).pencil
+    res = SearchResult("cl_parameter1")
+    clique: list[int] = []
+
+    def rec(cand: int, start: int):
+        res.nodes += 1
+        if res.nodes > limit:
+            res.stopped_by = "budget"
+            return
+        if len(clique) == target:
+            mask = sum(1 << universe[t] for t in clique)
+            gs = GenSet(ctx, mask, class_label)
+            if check_cl(gs).is_cl:
+                _certify(gs.x == 1, "parameter-1 CL set")
+                res.solutions.append(mask)
+            return
+        if len(clique) + cand.bit_count() < target:
+            return
+        m = cand & ~((1 << start) - 1)
+        while m:
+            low = m & -m
+            t = low.bit_length() - 1
+            m ^= low
+            if len(clique) + (cand >> t).bit_count() < target:
+                return
+            clique.append(t)
+            rec(cand & meets[t], t + 1)
+            clique.pop()
+            if res.stopped_by:
+                return
+
+    rec((1 << len(universe)) - 1, 0)
+    res.solutions.sort()
+    return res

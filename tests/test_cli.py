@@ -178,6 +178,25 @@ def test_suite_artifacts_agree_across_processes(tmp_path):
     assert [r["criterion"] for r in results if r["ok"]] == list(range(1, 13))
 
 
+@pytest.mark.parametrize("name, argv, expected", [
+    pytest.param("Q+(7,2)", ["cl", "--xmax", "1", "--class", "latin"],
+                 (270, 42617, True), id="cl-class-exhaustive"),
+    pytest.param("Q-(5,2)", ["tight", "--dual", "--xmax", "3",
+                             "--budget", "5000"],
+                 (53, 5002, False), id="tight-dual-budget"),
+])
+def test_search_artifacts_agree_across_processes(tmp_path, name, argv,
+                                                 expected):
+    # an exhaustive and a budget-truncated search write the same solutions,
+    # node count and completeness under two hash seeds
+    space_file = tmp_path / "space.json"
+    assert run(["space", "enumerate", "--space-name", name,
+                "--out", str(space_file)]) == 0
+    data = _agree_across_processes(tmp_path, "search", *argv,
+                                   "--space", str(space_file))
+    assert (data["count"], data["nodes"], data["exhaustive"]) == expected
+
+
 def test_search_cl_and_spread_files(tmp_path, capsys):
     space_file = tmp_path / "w32.json"
     run(["space", "enumerate", "--space-name", "W(3,2)", "--out",

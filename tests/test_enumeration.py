@@ -10,6 +10,7 @@ from polarcl.enumeration import (BudgetError, PolarSpace, certify_isometry,
                                  symplectic_from_parabolic_map)
 from polarcl.geometry import (GeometryError, VerificationError, all_hyperplanes,
                               descriptor, gf_rref, section_point_count)
+from polarcl.scheme import SchemeContext
 
 from gf_reference import gf_reduce
 from reference import num_disjoint_from_generator
@@ -287,12 +288,29 @@ def test_generator_count_mismatch_raises(monkeypatch):
 
 def test_intransitive_class_relation_raises(monkeypatch):
     # odd distance between generators 0 and 1 only: both are at even
-    # distance from generator 2, so the relation is not transitive
+    # distance from generator 2, so the relation is not transitive.  The
+    # labels put 5 of the 6 lines of the grid in the latin class, but the
+    # relations, read off the point counts, put 3 at even distance from 0
     monkeypatch.setattr(PolarSpace, "distance",
                         lambda self, g, h: int({g, h} == {0, 1}))
+    sp = PolarSpace(descriptor("Q+", 2, 2))
     with pytest.raises(VerificationError,
-                       match="generators 0, 1 at distance 1, expected even"):
-        PolarSpace(descriptor("Q+", 2, 2))
+                       match=r"generator 0 of Q\+\(3,2\) is at even distance "
+                       "from 3 generators, expected the 5 of the latin class"):
+        SchemeContext(sp)
+
+
+def test_class_check_reads_every_generator():
+    # only the last label is wrong, and the class masks are right: a check
+    # that sampled generators, or stopped at the anchor, would pass it
+    sp = PolarSpace(descriptor("Q+", 4, 2))
+    last = sp.n_generators - 1
+    sp.class_labels[last] = {"latin": "greek", "greek": "latin"}[
+        sp.class_labels[last]]
+    with pytest.raises(VerificationError, match=f"generator {last} of "
+                       r"Q\+\(7,2\) is at even distance from 135 generators, "
+                       "expected the 135 of the"):
+        SchemeContext(sp)
 
 
 def test_unbalanced_hyperbolic_section_raises(monkeypatch):
@@ -307,9 +325,10 @@ def test_unbalanced_hyperbolic_section_raises(monkeypatch):
 
 @pytest.mark.under_optimize("test_generator_count_mismatch_raises",
                             "test_intransitive_class_relation_raises",
+                            "test_class_check_reads_every_generator",
                             "test_unbalanced_hyperbolic_section_raises")
 def test_enumeration_checks_raise_under_optimize(run_under_optimize):
-    run_under_optimize(3)
+    run_under_optimize(4)
 
 
 def test_get_space_caches():

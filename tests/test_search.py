@@ -25,7 +25,14 @@ from polarcl.search import (SearchResult, VerificationError,
                             union_of_pencils_decomposition)
 
 from reference import (eigenspace_membership, max_disjoint_in,
-                       reference_meeting_graph)
+                       reference_cl_parameter1, reference_meeting_graph,
+                       reference_spreads)
+
+DESK = ["Q+(5,2)", "Q+(7,2)", "Q(4,2)", "Q(6,2)", "Q-(5,2)", "W(3,2)",
+        "W(3,3)", "W(5,2)", "H(3,4)", "H(4,4)"]
+# 50,000 exceeds every parameter-1 and spread tree below except the
+# parameter-1 tree of all of Q+(7,2) and the spread tree of H(4,4)
+REFERENCE_BUDGETS = (1, 2, 5, 17, 333, 5000, 50_000)
 
 
 def test_spreads_w32():
@@ -329,6 +336,56 @@ def test_in_out_engine_solutions_and_nodes(call, expected):
     assert (len(res.solutions), res.nodes, res.exhaustive) == expected
 
 
+@pytest.mark.parametrize("call, expected", [
+    pytest.param(lambda: find_cl_parameter1(_space("Q(6,2)")),
+                 (270, 41787, True), id="cl_param1-Q62"),
+    pytest.param(lambda: find_cl_parameter1(_space("Q+(7,2)"), "latin"),
+                 (270, 42617, True), id="cl_param1-Qp72-latin"),
+    pytest.param(lambda: find_spreads(_space("Q(6,2)")),
+                 (960, 6376, True), id="spread-Q62"),
+    pytest.param(lambda: find_regular_systems(_space("Q+(5,2)"), 2,
+                                              eigenspaces={0, 2}),
+                 (168, 4811, True), id="regular-Qp52-V0-V2"),
+])
+def test_desk_classify_search_gates(call, expected):
+    # the exact (solutions, nodes) that perfbench's desk-classify gates
+    res = call()
+    assert (len(res.solutions), res.nodes, res.exhaustive) == expected
+
+
+def _outcome(res):
+    return res.solutions, res.nodes, res.stopped_by
+
+
+@pytest.mark.parametrize("name, label", [(name, None) for name in DESK]
+                         + [("Q+(7,2)", "latin"), ("Q+(7,2)", "greek")])
+def test_cl_parameter1_matches_the_recursive_reference(name, label):
+    sp = _space(name)
+    for budget in REFERENCE_BUDGETS:
+        assert _outcome(find_cl_parameter1(sp, label, budget)) == \
+            _outcome(reference_cl_parameter1(sp, label, budget)), budget
+
+
+def _disjoint_pair(sp, label):
+    """Two disjoint generators of one class of a hyperbolic quadric."""
+    a, *rest = sp.class_members(label)
+    K = get_context(sp).scheme.K
+    return a, next(b for b in rest if K[a] >> b & 1)
+
+
+@pytest.mark.parametrize("name, label", [(name, None) for name in DESK]
+                         + [("Q+(7,2)", "latin"), ("Q+(7,2)", "greek")])
+def test_spreads_match_the_recursive_reference(name, label):
+    # on a class, every spread through a disjoint pair of its generators
+    sp = _space(name)
+    containing = _disjoint_pair(sp, label) if label else ()
+    runs = [{"budget": b} for b in REFERENCE_BUDGETS] + [
+        {"budget": 5000, "max_solutions": m} for m in (1, 2, 5)]
+    for kw in runs:
+        assert _outcome(find_spreads(sp, containing=containing, **kw)) == \
+            _outcome(reference_spreads(sp, containing=containing, **kw)), kw
+
+
 @pytest.mark.parametrize("call, stopped_by", [
     pytest.param(lambda: find_regular_systems(_space("Q+(5,2)"), 2, budget=777),
                  "budget", id="regular-budget"),
@@ -477,6 +534,39 @@ def test_in_out_engine_matches_reference(instance):
     new, ref = _both_engines(n, size, rels, limit, max_solutions,
                              lambda mask: mask % (salt + 1) == 0)
     assert new == ref
+
+
+def _desk_classify_passes():
+    """(n, size, rels) of the last pass of three desk-classify searches."""
+    gq = GQ.from_polar(_space("Q-(5,2)")).dual()
+    ctx = get_context(_space("Q-(5,2)"))
+    d, e, q = ctx.d, ctx.e, ctx.q
+    from polarcl.clsets import expected_profile_type_I
+    mem, out = (expected_profile_type_I(d, e, q, 3, m) for m in (True, False))
+    qp5 = _space("Q+(5,2)")
+    return {
+        "tight-GQ42-i3": (gq.n_points, 3 * (gq.s + 1),
+                          [(gq.perp, gq.perp, (gq.s + 3, 3))]),
+        "cl-Qm52-x3": (ctx.n, 3 * ctx.pencil,
+                       [(ctx.scheme.A[i], ctx.scheme.A[i], (mem[i], out[i]))
+                        for i in range(1, d + 1)]),
+        "regular-Qp52-m2": (qp5.n_generators, 10,
+                            [(qp5.gen_point_masks, qp5.point_gen_masks(), 2)]),
+    }
+
+
+@pytest.mark.parametrize("which", ["tight-GQ42-i3", "cl-Qm52-x3",
+                                   "regular-Qp52-m2"])
+def test_in_out_engine_matches_reference_when_truncated(which):
+    # the live-only stack counts dead children where the reference enters
+    # them, so every budget and solution limit stops at the same node
+    n, size, rels = _desk_classify_passes()[which]
+    for limit in (1, 2, 5, 17, 333, 5000):
+        new, ref = _both_engines(n, size, rels, limit)
+        assert new == ref, limit
+    for max_solutions in (0, 1, 2, 5):
+        new, ref = _both_engines(n, size, rels, 5000, max_solutions)
+        assert new == ref, max_solutions
 
 
 @pytest.mark.parametrize("n, pin", [(5, 7), (6, 6)])

@@ -372,30 +372,24 @@ def construct_embedded(ctx: CLContext, hyperplane=None) -> GenSet:
 
 
 def construct_base_plane(ctx: CLContext, gen_idx: int) -> GenSet:
-    """Type III rank 3: all planes meeting a fixed plane in >= a line."""
+    """Type III rank 3: all planes meeting a fixed plane in >= a line,
+    which in rank 3 are the planes at distance <= 1."""
     if ctx.type != "III" or ctx.d != 3:
         raise GeometryError("base-plane needs a rank-3 type III space")
-    sp = ctx.space
-    mask = 0
-    for g in range(ctx.n):
-        if sp.intersection_vdim(gen_idx, g) >= 2:
-            mask |= 1 << g
-    return GenSet(ctx, mask)
+    A = ctx.scheme.A
+    return GenSet(ctx, A[0][gen_idx] | A[1][gen_idx])
 
 
 def construct_base_solid(ctx: CLContext, center: int, class_label: str) -> GenSet:
     """One class of Q+(7,q): generators meeting a fixed opposite-class
-    generator (the center) in a plane."""
+    generator (the center) in a plane, which are those at distance 1; an
+    odd distance puts them in the class opposite the center's."""
     sp = ctx.space
     if sp.desc.family != "Q+" or ctx.d != 4:
         raise GeometryError("base-solid needs Q+(7,q)")
     if sp.class_labels[center] == class_label:
         raise GeometryError("center must belong to the other class")
-    mask = 0
-    for g in sp.class_members(class_label):
-        if sp.intersection_vdim(center, g) == 3:
-            mask |= 1 << g
-    return GenSet(ctx, mask, class_label)
+    return GenSet(ctx, ctx.scheme.A[1][center], class_label)
 
 
 def complement(gs: GenSet) -> GenSet:
@@ -464,7 +458,8 @@ def profile_verdict(gs: GenSet, pi: int):
 
 
 def z_profile(gs: GenSet, pi: int, point_idx: int):
-    """z_j = members meeting pi in a j-space through the point (type I).
+    """z_j = |L ^ pencil(P) ^ A_{d-1-j}[pi]|: the members through the
+    point P that meet pi in a projective j-space (type I).
 
     Returns (verdict, z) checking z_{d-j-2} = z_{d-2} [d-2,j]_q
     q^{C(j,2)+je} for j = 0..d-2; requires pi outside the set and the
@@ -478,20 +473,8 @@ def z_profile(gs: GenSet, pi: int, point_idx: int):
         raise GeometryError("probe generator must lie outside the set")
     if not (sp.gen_point_masks[pi] >> point_idx) & 1:
         raise GeometryError("probe point must lie on the probe generator")
-    d = ctx.d
-    z = [0] * (d - 1)  # z[j], intersection a j-space, j = 0..d-2
-    pm_pi = sp.gen_point_masks[pi]
-    for g in gs.members():
-        common = sp.gen_point_masks[g] & pm_pi
-        if not (common >> point_idx) & 1:
-            continue
-        vdim = sp._vdim_table[common.bit_count()]
-        if vdim >= 1:
-            z[vdim - 1] += 1
-    ok = True
-    for j in range(d - 1):
-        expect = Fraction(z[d - 2]) * gaussian_binomial(d - 2, j, ctx.q) \
-            * qpow(ctx.q, binom2(j) + j * ctx.e)
-        if z[d - j - 2] != expect:
-            ok = False
-    return ok, z
+    d, A, q, e = ctx.d, ctx.scheme.A, ctx.q, ctx.e
+    through = gs.mask & sp.point_gen_masks()[point_idx]
+    z = [(A[d - 1 - j][pi] & through).bit_count() for j in range(d - 1)]
+    return all(z[d - j - 2] == z[d - 2] * gaussian_binomial(d - 2, j, q)
+               * qpow(q, binom2(j) + j * e) for j in range(d - 1)), z

@@ -223,7 +223,10 @@ class PolarSpace:
     def _class(self, label: str):
         if self.class_labels is None:
             raise GeometryError(f"{self.desc.name()} has no generator classes")
-        return self._classes.get(label, ([], 0))
+        if label not in self._classes:
+            raise GeometryError(f"{self.desc.name()} has no generator class "
+                                f"{label!r}: its classes are latin and greek")
+        return self._classes[label]
 
     def class_members(self, label: str) -> list[int]:
         return self._class(label)[0]

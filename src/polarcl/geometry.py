@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf import GF, field
+from .gf import GF, _factor_prime_power, field
 from .linalg import gf_nullspace, gf_rref
 
 FAMILIES = ("Q+", "Q", "Q-", "W", "H")
@@ -76,15 +76,15 @@ class PolarSpaceDescriptor:
             if self.dim not in (2 * d - 1, 2 * d):
                 raise GeometryError(
                     f"H with rank {d} needs ambient dimension {2*d-1} or {2*d}")
-            gf = field(self.q)
-            if not gf.has_conjugation:
-                raise GeometryError(
-                    f"Hermitian space needs a square field order, got q={self.q}")
         elif self.dim != expected[self.family]:
             raise GeometryError(
                 f"{self.family} with rank {d} lives in PG({expected[self.family]},q), "
                 f"got dim {self.dim}")
-        field(self.q)  # validates q is a prime power
+        # q = p^n, decided without building the field's tables
+        _, n = _factor_prime_power(self.q)
+        if self.family == "H" and n % 2:
+            raise GeometryError(
+                f"Hermitian space needs a square field order, got q={self.q}")
 
     @property
     def e(self) -> Fraction:

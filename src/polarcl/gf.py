@@ -17,6 +17,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 
+# the q x q addition and multiplication tables may hold at most this many
+# entries each, so q <= 256
+TABLE_ENTRY_BUDGET = 1 << 16
+
+
 class FieldError(ValueError):
     pass
 
@@ -116,6 +121,9 @@ class GF:
 
     def __init__(self, q: int):
         p, n = _factor_prime_power(q)
+        if q * q > TABLE_ENTRY_BUDGET:
+            raise FieldError(f"GF({q}) needs {q * q} table entries, over "
+                             f"budget {TABLE_ENTRY_BUDGET}")
         self.q = q
         self.p = p
         self.degree = n

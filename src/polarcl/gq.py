@@ -121,7 +121,10 @@ def classify_tight_set(gq: GQ, point_mask: int, i: int):
 
     "line-union": the point set of i pairwise disjoint lines.
     "subquadrangle": together with the lines fully inside it, a subGQ of
-    order (s/t, t) (only possible at i = s/t + 1).
+    order (s/t, t) (only possible at i = s/t + 1).  Its lines are the
+    mask `part` of lines with s/t + 1 points in T: each point of T is on
+    t + 1 of them, and each point off T on at most one, so that no two
+    part lines meet outside T.
     """
     inside = [li for li in range(gq.n_lines)
               if gq.line_masks[li] & ~point_mask == 0]
@@ -134,24 +137,10 @@ def classify_tight_set(gq: GQ, point_mask: int, i: int):
     if covered == point_mask and len(disjoint) == i:
         return "line-union"
     if gq.t and gq.s % gq.t == 0 and i == gq.s // gq.t + 1:
-        sub_s = gq.s // gq.t
-        part = [li for li in range(gq.n_lines)
-                if (gq.line_masks[li] & point_mask).bit_count() == sub_s + 1]
-        ok = True
-        for p in _bits(point_mask):
-            on = sum(1 for li in part if (gq.line_masks[li] >> p) & 1)
-            if on != gq.t + 1:
-                ok = False
-                break
-        if ok:
-            for a in range(len(part)):
-                for b in range(a + 1, len(part)):
-                    common = gq.line_masks[part[a]] & gq.line_masks[part[b]]
-                    if common and not common & point_mask:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok and part:
+        part = sum(1 << li for li, lm in enumerate(gq.line_masks)
+                   if (lm & point_mask).bit_count() == gq.s // gq.t + 1)
+        on = [(pl & part).bit_count() for pl in gq.point_lines]
+        if part and all(c == gq.t + 1 if point_mask >> p & 1 else c <= 1
+                        for p, c in enumerate(on)):
             return "subquadrangle"
     return "other"

@@ -12,7 +12,9 @@ exhaustive and says in `stopped_by` which limit fired: the node budget
 Spread search is exact cover over the point-generator incidence with the
 usual lowest-branching-column heuristic over the uncovered points; every
 solution is reached along exactly one branch, so no symmetry anchor is
-needed.  Parameter-1 CL sets are cliques of the meeting graph.
+needed.  Choosing g keeps only the candidates disjoint from g, its
+disjointness row K[g]; that drops g and every generator meeting it.
+Parameter-1 CL sets are cliques of the meeting graph.
 
 Regular systems, tight sets and bounded CL sets share one in/out engine
 (`_in_out`).  It decides objects 0..n-1 in index order, in before out,
@@ -266,17 +268,13 @@ def find_spreads(space, budget=None, max_solutions=None,
     gen_pts = space.gen_point_masks
     res = SearchResult("spread")
     all_pts = (1 << len(space.points)) - 1
-    clash = [0] * space.n_generators  # generators sharing a point with g
-    for g, pm in enumerate(gen_pts):
-        for p in _bits(pm):
-            clash[g] |= point_rows[p]
-    avail_all = (1 << space.n_generators) - 1
+    avail_all, K = (1 << space.n_generators) - 1, ctx.scheme.K
     pre_covered = 0
     for g in containing:
         if gen_pts[g] & pre_covered:
             raise ValueError("preselected generators are not pairwise disjoint")
         pre_covered |= gen_pts[g]
-        avail_all &= ~clash[g]
+        avail_all &= K[g]
 
     def rec(covered: int, avail: int, mask: int):
         res.nodes += 1
@@ -304,7 +302,7 @@ def find_spreads(space, budget=None, max_solutions=None,
                 if cnt == 1:
                     break
         for g in _bits(best):
-            rec(covered | gen_pts[g], avail & ~clash[g], mask | 1 << g)
+            rec(covered | gen_pts[g], avail & K[g], mask | 1 << g)
             if res.stopped_by:
                 return
 
@@ -437,46 +435,39 @@ def find_cl_bounded(space, x_max: int, budget=None) -> SearchResult:
 
 def classify_parameter1(space, mask: int, class_label=None) -> str:
     """Name a parameter-1 CL set: pencil, hyperbolic class, base-plane,
-    base-solid, or other."""
+    base-solid, or other.
+
+    Each label is one mask equality: the pencil of a point within the
+    universe, a hyperbolic class, A_0 + A_1 of a member (in rank 3 the
+    planes meeting it in at least a line), or A_1 of a generator of the
+    other class (in Q+(7,q) the generators meeting it in a plane).
+    """
     ctx = get_context(space)
-    members = list(_bits(mask))
-    common = space.gen_point_masks[members[0]]
-    for g in members[1:]:
-        common &= space.gen_point_masks[g]
-        if not common:
-            break
-    if common:
-        cm = ctx.restricted(class_label).mask
-        for p in _bits(common):
-            if space.point_gen_masks()[p] & cm == mask:
-                return "point-pencil"
-    desc = space.desc
+    cm = ctx.restricted(class_label).mask
+    if any(row & cm == mask for row in space.point_gen_masks()):
+        return "point-pencil"
+    desc, A = space.desc, ctx.scheme.A
     if class_label is None and space_type(desc) == "III":
         if mask in set(space.hyperbolic_classes()):
             return "hyperbolic-class"
-        if desc.rank == 3:
-            for pi in members:
-                if all(space.intersection_vdim(pi, g) >= 2 for g in members):
-                    from .clsets import construct_base_plane
-                    if construct_base_plane(ctx, pi).mask == mask:
-                        return "base-plane"
+        if desc.rank == 3 and any(A[0][pi] | A[1][pi] == mask
+                                  for pi in _bits(mask)):
+            return "base-plane"
     if class_label is not None and desc.family == "Q+" and desc.rank == 4:
         other = "greek" if class_label == "latin" else "latin"
-        for center in space.class_members(other):
-            if all(space.intersection_vdim(center, g) == 3 for g in members):
-                from .clsets import construct_base_solid
-                if construct_base_solid(ctx, center, class_label).mask == mask:
-                    return "base-solid"
+        if any(A[1][c] == mask for c in space.class_members(other)):
+            return "base-solid"
     return "other"
 
 
 def union_of_pencils_decomposition(space, mask: int):
-    """Vertices of a disjoint pencil decomposition with pairwise
-    non-collinear vertices, or None.
+    """Vertices of a disjoint pencil decomposition, or None.
 
     Backtracks over candidate vertices (points whose full pencil lies in
     the remaining set), so a misleading first pick cannot hide a valid
-    decomposition.
+    decomposition.  The pencils are disjoint, so the vertices are
+    pairwise non-collinear: collinear points share the generators on
+    their line.
     """
     rows = space.point_gen_masks()
 
@@ -493,12 +484,4 @@ def union_of_pencils_decomposition(space, mask: int):
                 return out
         return None
 
-    vertices = rec(mask, ())
-    if vertices is None:
-        return None
-    for a in range(len(vertices)):
-        for b in range(a + 1, len(vertices)):
-            pa, pb = vertices[a], vertices[b]
-            if space.form.pair(space.points[pa], space.points[pb]) == 0:
-                return None
-    return vertices
+    return rec(mask, ())

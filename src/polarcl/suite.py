@@ -17,7 +17,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from itertools import combinations
+from itertools import islice
 
 from .clsets import (GenSet, VerificationError, check_cl, complement,
                      construct_base_plane, construct_base_solid,
@@ -388,19 +388,17 @@ def criterion_11():
     checked = 0
     for name, dims, cap in PAIR_COUNT_ROWS:
         sp = get_space_by_name(name)
-        K = get_context(sp).scheme.K
+        A = get_context(sp).scheme.A
+        K = A[sp.d]
         for v in dims:
             expect = kms_disjoint_to_two(sp.desc, v)
-            done = 0
-            for a, b in combinations(range(len(K)), 2):
-                if sp.intersection_vdim(a, b) != v + 1:
-                    continue
+            # the pairs a < b meeting in a v-space: distance d-1-v
+            pairs = ((a, b) for a, m in enumerate(A[sp.d - 1 - v])
+                     for b in _bits(m >> a + 1 << a + 1))
+            for a, b in islice(pairs, cap):
                 if (got := (K[a] & K[b]).bit_count()) != expect:
                     return False, f"{name} v={v}: {got} != {expect}"
-                done += 1
-                if done == cap:
-                    break
-            checked += done
+                checked += 1
     # class Cameron-Liebler sets on one class of Q+(7,2)
     ctx7 = _ctx("Q+(7,2)")
     qp7, K = ctx7.space, ctx7.scheme.K

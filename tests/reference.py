@@ -1,6 +1,8 @@
 """Routes that only the tests call: the pair-loop references for the
-scheme's relations, its algebra, B^t B, the meeting graph and the
-matvec, the list-based annihilators for eigenspace membership, the
+scheme's relations, its algebra, B^t B, the meeting graph, the matvec
+and every generator-incidence question the library reads off the
+relations (constructions, labels, z-profiles, subquadrangles, pencil
+decompositions, pair counts), the list-based annihilators for eigenspace membership, the
 certified kernel that decides image membership by elimination, the CL
 battery with member loops and Fraction counts, the GQ line-set report,
 the recursive spread and parameter-1 searches that the library's loops
@@ -77,6 +79,112 @@ def reference_matvec(masks, v):
 
 def rank_of_incidence(sch, k: int) -> int:
     return CertifiedKernel(sch.incidence(k), sch.n).rank
+
+
+# -- generator incidence by pair loops ----------------------------------------
+#
+# The library reads these off the certified relations A_i; the references
+# derive them from intersection dimensions, point masks and the form.
+# `reference_spreads` keeps the clash rows built from the point rows.
+
+def reference_base_plane(space, g):
+    """The generators meeting g in at least a line, one
+    `intersection_vdim` call each."""
+    return sum(1 << h for h in range(space.n_generators)
+               if space.intersection_vdim(g, h) >= 2)
+
+
+def reference_base_solid(space, center, class_label):
+    """The generators of `class_label` meeting `center` in a plane."""
+    return sum(1 << h for h in space.class_members(class_label)
+               if space.intersection_vdim(center, h) == 3)
+
+
+def reference_classify_parameter1(space, mask, class_label=None):
+    """`search.classify_parameter1` from the common points of the members
+    and intersection dimensions checked member by member."""
+    from polarcl.clsets import get_context, space_type
+    ctx = get_context(space)
+    members = list(_bits(mask))
+    common = reduce(lambda a, g: a & space.gen_point_masks[g], members,
+                    (1 << len(space.points)) - 1)
+    cm = ctx.restricted(class_label).mask
+    if any(space.point_gen_masks()[p] & cm == mask for p in _bits(common)):
+        return "point-pencil"
+    desc = space.desc
+    if class_label is None and space_type(desc) == "III":
+        if mask in set(space.hyperbolic_classes()):
+            return "hyperbolic-class"
+        if desc.rank == 3:
+            for pi in members:
+                if (all(space.intersection_vdim(pi, g) >= 2 for g in members)
+                        and reference_base_plane(space, pi) == mask):
+                    return "base-plane"
+    if class_label is not None and desc.family == "Q+" and desc.rank == 4:
+        other = "greek" if class_label == "latin" else "latin"
+        for center in space.class_members(other):
+            if (all(space.intersection_vdim(center, g) == 3 for g in members)
+                    and reference_base_solid(space, center, class_label)
+                    == mask):
+                return "base-solid"
+    return "other"
+
+
+def reference_z(gs, pi, point):
+    """z[j]: the members through `point` whose common points with pi
+    span a vector space of dimension j + 1, counted member by member."""
+    sp = gs.ctx.space
+    z = [0] * (gs.ctx.d - 1)
+    pm_pi = sp.gen_point_masks[pi]
+    for g in _bits(gs.mask):
+        common = sp.gen_point_masks[g] & pm_pi
+        if (common >> point) & 1:
+            z[sp._vdim_table[common.bit_count()] - 1] += 1
+    return z
+
+
+def reference_classify_tight_set(gq, point_mask, i):
+    """`gq.classify_tight_set` with its member loop and its loop over the
+    pairs of part lines."""
+    inside = [li for li in range(gq.n_lines)
+              if gq.line_masks[li] & ~point_mask == 0]
+    covered = 0
+    disjoint = []
+    for li in inside:
+        if gq.line_masks[li] & covered == 0:
+            disjoint.append(li)
+            covered |= gq.line_masks[li]
+    if covered == point_mask and len(disjoint) == i:
+        return "line-union"
+    if gq.t and gq.s % gq.t == 0 and i == gq.s // gq.t + 1:
+        part = [li for li in range(gq.n_lines)
+                if (gq.line_masks[li] & point_mask).bit_count()
+                == gq.s // gq.t + 1]
+        ok = all(sum((gq.line_masks[li] >> p) & 1 for li in part) == gq.t + 1
+                 for p in _bits(point_mask))
+        for a in range(len(part)):
+            for b in range(a + 1, len(part)):
+                common = gq.line_masks[part[a]] & gq.line_masks[part[b]]
+                if common and not common & point_mask:
+                    ok = False
+        if ok and part:
+            return "subquadrangle"
+    return "other"
+
+
+def reference_non_collinear(space, vertices):
+    """No two of the points pair to zero under the form."""
+    return all(space.form.pair(space.points[a], space.points[b]) != 0
+               for i, a in enumerate(vertices) for b in vertices[i + 1:])
+
+
+def reference_pairs(space, v, cap=None):
+    """The first `cap` pairs a < b of generators meeting in a projective
+    v-space, in `itertools.combinations` order."""
+    n = space.n_generators
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
+             if space.intersection_vdim(a, b) == v + 1]
+    return pairs if cap is None else pairs[:cap]
 
 
 # -- the certified kernel ------------------------------------------------------

@@ -4,6 +4,7 @@ One test per criterion; each prints the pass/fail line of the underlying
 suite function, so `pytest -s tests/test_acceptance.py` shows the table.
 """
 
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
@@ -11,7 +12,10 @@ import pytest
 from polarcl import suite
 from polarcl.cli import main
 from polarcl.clsets import VerificationError
+from polarcl.enumeration import get_space_by_name
 from polarcl.scheme import SchemeContext
+
+from reference import reference_pairs
 
 
 def _run(fn):
@@ -167,3 +171,18 @@ def test_every_criterion_can_fail(monkeypatch, capsys, number):
     assert line.startswith(f"[FAIL] criterion {number:2d} - "), line
     assert line.endswith(f": {detail}"), line
     assert total == "0/1 criteria passed"
+
+
+def test_criterion_11_reads_the_pairs_of_the_pair_loop(monkeypatch):
+    # the pairs each intersection dimension reads off A_{d-1-v}, in the
+    # order and number of the loop over all pairs
+    read = []
+
+    def recording(pairs, cap):
+        read.append(list(islice(pairs, cap)))
+        return read[-1]
+    monkeypatch.setattr(suite, "islice", recording)
+    _run(suite.criterion_11)
+    assert read == [reference_pairs(get_space_by_name(name), v, cap)
+                    for name, dims, cap in suite.PAIR_COUNT_ROWS
+                    for v in dims]

@@ -283,6 +283,22 @@ def test_manifest_records_the_given_command(tmp_path):
     assert json.loads(out.read_text())["manifest"]["command"] == argv
 
 
+@pytest.mark.parametrize("argv, code, output", [
+    (["space", "info", "--space-name", "W(3,65537)"], 0,
+     "0-spaces: 281492156973060"),
+    (["space", "enumerate", "--space-name", "W(1,65537)", "--out",
+      os.devnull], 2, "GF(65537) needs 4295098369 table entries"),
+])
+def test_huge_field_orders_answer_fast(argv, code, output):
+    # closed forms need no field tables; an enumeration refuses them at once
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    proc = subprocess.run([sys.executable, "-m", "polarcl", *argv], cwd=root,
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == code, proc.stderr
+    assert output in proc.stdout + proc.stderr
+
+
 def test_malformed_space_names_exit_2(capsys):
     for name in ("Q+(5,2", "Q+(5,2)))", " Q+ (5,2)", "X(5,2)"):
         assert run(["space", "info", "--space-name", name]) == 2, name

@@ -29,7 +29,8 @@ from polarcl.search import find_spreads
 
 from reference import (class_image_membership, eigenspace_membership,
                        image_membership, intersection_profile,
-                       reference_check_cl, regular_system_m)
+                       reference_base_plane, reference_base_solid,
+                       reference_check_cl, reference_z, regular_system_m)
 
 
 def ctx_of(name):
@@ -670,3 +671,64 @@ def test_tampered_disjointness_degree_raises(name, label):
 @pytest.mark.under_optimize("test_tampered_disjointness_degree_raises")
 def test_tampered_disjointness_degree_raises_under_optimize(run_under_optimize):
     run_under_optimize(2)
+
+
+# -- generator incidence read off the relations ----------------------------------
+
+@pytest.mark.parametrize("name", ["Q+(5,2)", "Q(6,2)", "W(5,2)", "Q(6,3)",
+                                  "W(5,3)"])
+def test_base_planes_match_the_pair_loop(name):
+    # only Q(6,q) and W(5,2q) have base-planes (type III), but on every
+    # rank-3 space the planes at distance <= 1 meet in at least a line
+    ctx = ctx_of(name)
+    A, sp = ctx.scheme.A, ctx.space
+    step = 1 if ctx.q == 2 else 5  # every fifth plane at q = 3
+    for g in range(0, ctx.n, step):
+        mask = A[0][g] | A[1][g]
+        assert mask == reference_base_plane(sp, g), (name, g)
+        if ctx.type == "III":
+            assert construct_base_plane(ctx, g).mask == mask
+    if ctx.type != "III":
+        with pytest.raises(GeometryError, match="base-plane needs"):
+            construct_base_plane(ctx, 0)
+
+
+@pytest.mark.parametrize("label", ["latin", "greek"])
+def test_base_solids_match_the_pair_loop(label):
+    ctx = ctx_of("Q+(7,2)")
+    other = "greek" if label == "latin" else "latin"
+    for center in ctx.space.class_members(other):
+        assert (construct_base_solid(ctx, center, label).mask
+                == reference_base_solid(ctx.space, center, label))
+
+
+TYPE_I_DESK = ["Q+(5,2)", "Q(4,2)", "Q-(5,2)", "W(3,2)", "W(3,3)",
+               "H(3,4)", "H(4,4)"]
+
+
+@pytest.mark.parametrize("name", TYPE_I_DESK)
+def test_z_profiles_match_the_member_loop(name):
+    # every probe (pi, P) of a pencil and of a seeded random set
+    ctx = ctx_of(name)
+    assert ctx.type == "I"
+    sp, rng = ctx.space, random.Random(name)
+    sets = [construct_point_pencil(ctx, 0),
+            GenSet(ctx, rng.getrandbits(ctx.n))]
+    for gs in sets:
+        for pi in range(ctx.n):
+            if (gs.mask >> pi) & 1:
+                continue
+            for point in _bits(sp.gen_point_masks[pi]):
+                ok, z = z_profile(gs, pi, point)
+                assert z == reference_z(gs, pi, point), (name, pi, point)
+                if gs is sets[0]:
+                    assert ok, (name, pi, point, z)
+
+
+def test_unknown_class_label_raises():
+    ctx = ctx_of("Q+(7,2)")
+    with pytest.raises(GeometryError, match="no generator class 'Latin'"):
+        GenSet(ctx, 0, "Latin")
+    with pytest.raises(GeometryError, match="no generator class 'Latin'"):
+        ctx.space.class_mask("Latin")
+    assert GenSet(ctx, 0, "latin").universe.N == 135

@@ -8,7 +8,7 @@ from polarcl.geometry import (Form, GeometryError, all_hyperplanes,
                               all_projective_points, classify_hyperplane_section,
                               descriptor, descriptor_from_name, gf_rref,
                               perp, section_point_count)
-from polarcl.gf import field
+from polarcl.gf import FieldError, field
 
 from gf_reference import gf_in_span
 from reference import is_totally_isotropic
@@ -32,6 +32,19 @@ def test_descriptor_validation():
         descriptor("H", 2, 4)               # Hermitian needs explicit dim
     with pytest.raises(GeometryError):
         descriptor("X", 2, 2)
+
+
+def test_descriptor_messages_build_no_field():
+    # a prime power of any size is accepted from its factorisation alone
+    assert descriptor_from_name("W(3,65537)").q == 65537
+    with pytest.raises(GeometryError, match="square field order, got q=8"):
+        descriptor("H", 2, 8, dim=3)
+    with pytest.raises(GeometryError, match="square field order, got q=65537"):
+        descriptor("H", 2, 65537, dim=3)
+    for q, message in ((6, "6 is not a prime power"),
+                       (1, "field order must be >= 2, got 1")):
+        with pytest.raises(FieldError, match=message):
+            descriptor("W", 2, q)
 
 
 def test_evaluate_form_examples():

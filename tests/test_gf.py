@@ -2,7 +2,7 @@
 
 import pytest
 
-from polarcl.gf import FieldError, field, least_irreducible
+from polarcl.gf import TABLE_ENTRY_BUDGET, FieldError, field, least_irreducible
 
 ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27]
 
@@ -164,3 +164,11 @@ def test_least_irreducible_is_irreducible():
     for x in (0, 1):
         assert sum(c * x ** i for i, c in enumerate(poly)) % 2 == 1
     assert not _divides([1, 1, 1], poly, 2)
+
+
+def test_field_tables_stay_within_their_budget():
+    assert 256 * 256 <= TABLE_ENTRY_BUDGET < 257 * 257
+    for q in (257, 65537):
+        with pytest.raises(FieldError, match=f"GF\\({q}\\) needs {q * q} "
+                           f"table entries, over budget {TABLE_ENTRY_BUDGET}"):
+            field(q)

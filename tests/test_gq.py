@@ -1,5 +1,8 @@
 """Generalised quadrangles, tight sets, line-set characterisations."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from polarcl.clsets import construct_embedded, get_context
@@ -7,7 +10,7 @@ from polarcl.enumeration import get_space_by_name
 from polarcl.gq import (GQ, GQError, classify_tight_set, tight_parameter,
                         tight_set_test)
 
-from reference import gq_cl_report
+from reference import gq_cl_report, reference_classify_tight_set
 
 
 def gq_of(name):
@@ -98,7 +101,6 @@ def test_subquadrangle_three_tight():
 
 
 def test_five_statements_consistent_on_corpus():
-    import random
     rng = random.Random(99)
     for name in ("W(3,2)", "H(3,4)", "Q+(3,2)"):
         g = gq_of(name)
@@ -114,3 +116,30 @@ def test_five_statements_consistent_on_corpus():
 def test_gq_needs_rank_two():
     with pytest.raises(GQError):
         GQ.from_polar(get_space_by_name("Q(6,2)"))
+
+
+def test_tight_set_labels_match_the_pair_loop_on_gq22():
+    # every 6- and 8-point set of GQ(2,2) at i = 2; among the 8-point sets
+    # each member is on t + 1 part lines while a point off the set is on
+    # two, which only the off-set bound rejects
+    g = gq_of("W(3,2)")
+    for size in (6, 8):
+        for points in combinations(range(g.n_points), size):
+            m = sum(1 << p for p in points)
+            assert classify_tight_set(g, m, 2) == \
+                reference_classify_tight_set(g, m, 2), points
+
+
+@pytest.mark.parametrize("name, dual", [("W(3,3)", False), ("H(3,4)", False),
+                                        ("Q-(5,2)", True)])
+def test_tight_set_labels_match_the_pair_loop_on_random_sets(name, dual):
+    # 400 seeded sets per quadrangle, of every size, at every i up to the
+    # subquadrangle parameter s/t + 1 and one beyond
+    g = gq_of(name).dual() if dual else gq_of(name)
+    rng = random.Random(name)
+    top = g.s // g.t + 2
+    for _ in range(400):
+        m = rng.getrandbits(g.n_points) & rng.getrandbits(g.n_points)
+        i = rng.randrange(top + 1)
+        assert classify_tight_set(g, m, i) == \
+            reference_classify_tight_set(g, m, i), (m, i)

@@ -1,6 +1,7 @@
 """Search layer: spreads, regular systems, tight sets, CL classification."""
 
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -25,8 +26,9 @@ from polarcl.search import (SearchResult, VerificationError,
                             union_of_pencils_decomposition)
 
 from reference import (eigenspace_membership, max_disjoint_in,
-                       reference_cl_parameter1, reference_meeting_graph,
-                       reference_spreads)
+                       reference_cl_parameter1,
+                       reference_classify_parameter1, reference_meeting_graph,
+                       reference_non_collinear, reference_spreads)
 
 DESK = ["Q+(5,2)", "Q+(7,2)", "Q(4,2)", "Q(6,2)", "Q-(5,2)", "W(3,2)",
         "W(3,3)", "W(5,2)", "H(3,4)", "H(4,4)"]
@@ -238,6 +240,38 @@ def test_union_of_pencils_decomposition():
     q6 = get_space_by_name("Q(6,2)")
     hc = construct_hyperbolic_class(get_context(q6), 0)
     assert union_of_pencils_decomposition(q6, hc.mask) is None
+
+
+@pytest.mark.parametrize("name, label", [
+    ("W(3,2)", None), ("Q-(5,2)", None), ("Q(6,2)", None), ("W(5,2)", None),
+    ("H(3,4)", None), ("Q+(7,2)", "latin"), ("Q+(7,2)", "greek")])
+def test_parameter1_labels_match_the_pair_loops(name, label):
+    # every parameter-1 set, seeded sets of the universe, and on a class
+    # the A_1 rows of its own generators, which lie in the other class
+    sp = _space(name)
+    ctx = get_context(sp)
+    universe = ctx.restricted(label).mask
+    rng = random.Random(name)
+    masks = find_cl_parameter1(sp, label).solutions + [
+        rng.getrandbits(ctx.n) & universe for _ in range(20)]
+    if label:
+        masks += [ctx.scheme.A[1][g] for g in sp.class_members(label)[:20]]
+    for m in masks:
+        assert classify_parameter1(sp, m, label) == \
+            reference_classify_parameter1(sp, m, label), m
+
+
+@pytest.mark.parametrize("name, x_max", [("W(3,2)", 2), ("Q-(5,2)", 3)])
+def test_pencil_decompositions_are_non_collinear(name, x_max):
+    # the vertices of disjoint pencils pair to nonzero under the form
+    sp = _space(name)
+    decomposed = 0
+    for m in find_cl_bounded(sp, x_max).solutions:
+        vertices = union_of_pencils_decomposition(sp, m)
+        if vertices is not None:
+            assert reference_non_collinear(sp, vertices), vertices
+            decomposed += 1
+    assert decomposed
 
 
 def test_spread_counts_through_disjoint_tuples_are_constant():

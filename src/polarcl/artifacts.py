@@ -19,6 +19,7 @@ import json
 import time
 
 from . import __version__
+from .counting import num_kspaces
 from .enumeration import PolarSpace, get_space
 from .geometry import GeometryError, descriptor, gf_rref
 
@@ -62,24 +63,48 @@ def space_payload(space: PolarSpace, command) -> dict:
 
 
 def load_space(path) -> PolarSpace:
-    """Rebuild the space from its descriptor and verify the stored lists.
-
-    Enumeration is deterministic, so the canonical order in the file must
-    match the rebuilt one exactly; anything else means a corrupt or
-    foreign file.
+    """The space of a stored file, its generator list certified instead of
+    re-enumerated (see `PolarSpace._certify`): a list that passes is the
+    canonical one, so its masks and order are the enumeration's.  The
+    stored points must be the space's isotropic points in their order,
+    the class labels the computed ones and the counts the closed forms.
+    The levels below the generators are enumerated when first read.  A
+    file that fails raises GeometryError naming the line and the check.
     """
     with open(path) as fh:
         data = json.load(fh)
     try:
-        d, stored = data["manifest"]["descriptor"], data["generators"]
-        space = get_space(d["family"], d["rank"], d["q"], d["dim"])
+        d, stored = data["manifest"]["descriptor"], list(data["generators"])
+        points = data["points"]
+        desc = descriptor(d["family"], d["rank"], d["q"], d["dim"])
     except (KeyError, TypeError) as ex:
         raise GeometryError(f"{path}: not a space file, no manifest "
-                            f"descriptor or generator list ({ex!r})") from None
-    gens = [space.serialize_subspace(g) for g in space.generators]
-    if stored != gens:
-        raise GeometryError(f"{path}: generator list does not match the "
-                            f"canonical enumeration of {space.name()}")
+                            f"descriptor, point list or generator list "
+                            f"({ex!r})") from None
+    rows = []
+    for g, line in enumerate(stored):
+        try:
+            rows.append(tuple(tuple(int(x) for x in row.split(","))
+                              for row in line.split(";")))
+        except (AttributeError, ValueError):
+            raise GeometryError(f"{path}: generator line {g} ({line!r}) is "
+                                "not rows of comma-separated integers") from None
+    try:
+        space = get_space(desc.family, desc.rank, desc.q, desc.dim,
+                          generators=rows)
+    except GeometryError as ex:
+        raise GeometryError(f"{path}: {ex}") from None
+    if points != [",".join(str(x) for x in p) for p in space.points]:
+        raise GeometryError(f"{path}: the point list is not the isotropic "
+                            f"points of {space.name()} in canonical order")
+    if data.get("generator_classes") != space.class_labels:
+        raise GeometryError(f"{path}: the generator classes are not those "
+                            f"of {space.name()}")
+    counts = {str(k): num_kspaces(desc.rank, desc.e, desc.q, k - 1)
+              for k in range(1, desc.rank + 1)}
+    if data.get("counts") != counts:
+        raise GeometryError(f"{path}: the level counts are not the closed "
+                            f"forms of {space.name()}")
     return space
 
 

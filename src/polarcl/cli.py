@@ -28,7 +28,8 @@ from .clsets import (GenSet, VerificationError, check_cl,
                      construct_embedded, construct_hyperbolic_class,
                      construct_point_pencil, complement, get_context,
                      space_type)
-from .counting import (EigenvalueTable, num_kspaces, parameter_b, parameter_c)
+from .counting import (EigenvalueTable, num_generators, num_kspaces,
+                       parameter_b, parameter_c)
 from .enumeration import BudgetError, get_space
 from .geometry import GeometryError, descriptor, descriptor_from_name
 from .gq import GQ
@@ -59,9 +60,20 @@ def _space_from_args(args):
     return get_space(d.family, d.rank, d.q, d.dim)
 
 
+# `space info` checks the (d+1) x (d+1) eigenvalue table exactly, about
+# (d+1)^3 products of numbers up to the generator count n: 1 s is about
+# (d+1)^3 bits(n) = 3e7, reached at rank 35 for q = 2 and 16 for q = 2^40
+INFO_BUDGET = 3 * 10 ** 7
+
+
 def cmd_space_info(args) -> int:
     desc = _descriptor_from_args(args)
     d, e, q = desc.rank, desc.e, desc.q
+    cost = (d + 1) ** 3 * num_generators(d, e, q).bit_length()
+    if cost > INFO_BUDGET:
+        raise BudgetError(f"{desc.name()}: the eigenvalue table of rank {d} "
+                          f"costs (d+1)^3 bits(n) = {cost}, over the budget "
+                          f"{INFO_BUDGET}")
     table = EigenvalueTable(d, e, q)
     info = {
         "manifest": make_manifest(args.argv, desc),

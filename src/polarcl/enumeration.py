@@ -5,10 +5,15 @@ Every subspace is keyed by the bitmask of its isotropic points.  Level k
 isotropic (k-1)-space by the isotropic points of its perp, building the
 extension's mask from line masks cached for one enumeration and clearing
 its points from the candidates left (`PolarSpace._enumerate_levels`).
-Each distinct subspace gets its reduced-echelon rows once; the levels
-are sorted lexicographically on them, which fixes the index set Omega of
-the generators once and for all: every file format and every matrix in
-the scheme layer refers to that order.
+Only the generators are put in order: their reduced-echelon rows, sorted
+lexicographically, fix the index set Omega once and for all, and every
+file format and every matrix in the scheme layer refers to that order.
+An intermediate level keeps the spanning point rows of its subspaces in
+discovery order; its count is read from them, and its canonical list
+(sorted reduced-echelon rows) is built when first read (`Level`).  A
+space can also be built from a stored generator list, which is certified
+instead of enumerated; its intermediate levels are then enumerated when
+first read.
 
 For hyperbolic quadrics the generators split into the two classes of the
 relation dim(pi ^ pi') = dim pi (mod 2); generator 0 anchors the class
@@ -20,6 +25,10 @@ theirs through the nucleus projection from the parabolic model.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
+from functools import reduce
+from operator import and_
 
 from .counting import num_generators, num_kspaces
 from .gf import field
@@ -46,11 +55,49 @@ def _vdim_from_point_count(q: int):
     return table
 
 
+class Level(Sequence):
+    """The totally isotropic subspaces of one vector dimension k < d.
+
+    Its length is the number of spanning point rows the enumeration left,
+    checked against the closed form when they were built.  Reading an
+    entry (indexing, slicing, iterating, comparing) builds the canonical
+    list, the reduced-echelon rows sorted lexicographically, once."""
+
+    def __init__(self, space: PolarSpace, k: int):
+        self._space, self._k, self._rows = space, k, None
+
+    def __len__(self) -> int:
+        return len(self._space.level_spans(self._k))
+
+    def canonical(self) -> list:
+        if self._rows is None:
+            gf = self._space.gf
+            self._rows = sorted(gf_rref(rows, gf)[0]
+                                for rows in self._space.level_spans(self._k))
+        return self._rows
+
+    def __getitem__(self, i):
+        return self.canonical()[i]
+
+    def __iter__(self):
+        return iter(self.canonical())
+
+    def __eq__(self, other):
+        return self.canonical() == list(other)
+
+    def __repr__(self) -> str:
+        return f"Level({self._space.name()}, {self._k}, {len(self)} subspaces)"
+
+
 class PolarSpace:
-    """An enumerated polar space: points, all levels, generators, classes."""
+    """A polar space: points, generators, classes, and every level on read.
+
+    The generators are enumerated, or, when `generators` is given, that
+    list is certified to be the canonical one (`_certify`)."""
 
     def __init__(self, desc: PolarSpaceDescriptor,
-                 generator_budget: int = DEFAULT_GENERATOR_BUDGET):
+                 generator_budget: int = DEFAULT_GENERATOR_BUDGET,
+                 generators=None):
         expected = num_generators(desc.rank, desc.e, desc.q)
         if expected > generator_budget:
             raise BudgetError(
@@ -69,8 +116,18 @@ class PolarSpace:
         # bit j of perp mask i: points i and j pair to zero
         self._perp_masks = [self.section_mask(self.form.functional(p))
                             for p in self.points]
-        self.levels, self.gen_point_masks = self._enumerate_levels()
-        self.generators = self.levels[self.d]
+        if generators is None:
+            self._spans, masks = self._enumerate_levels(self.d)
+            keyed = sorted(zip((gf_rref(rows, self.gf)[0]
+                                for rows in self._spans.pop(self.d)), masks))
+            self.generators = [rows for rows, _ in keyed]
+            self.gen_point_masks = [mask for _, mask in keyed]
+        else:
+            self._spans = None  # enumerated when a level below d is read
+            self.generators = list(generators)
+            self.gen_point_masks = self._certify(expected)
+        self.levels = {k: Level(self, k) for k in range(1, self.d)}
+        self.levels[self.d] = self.generators
         self.gen_index = {g: i for i, g in enumerate(self.generators)}
         self.n_generators = len(self.generators)
         if self.n_generators != expected:
@@ -84,20 +141,21 @@ class PolarSpace:
 
     # -- construction helpers ------------------------------------------------
 
-    def _enumerate_levels(self):
-        """levels[k] = sorted canonical TI subspaces of vector dimension k,
-        with the point masks of the generators in the order of levels[d].
+    def _enumerate_levels(self, top: int):
+        """Levels 1..top: the spanning point rows of every subspace, in
+        discovery order, and the point masks of level top in that order.
 
         A subspace S is keyed by its point mask; the frontier maps it to a
         spanning tuple of points and to its candidates, the AND of the perp
         masks of its points.  For a candidate p outside S, S + p is S, p
         and the lines from p to each point of S; a line's mask takes q - 1
-        normalised vectors and is cached for this call only.  At the top
-        level S + p is a generator G, and G^perp ^ Q = G, so its points are
-        the candidates of S that p's perp keeps: no line is read.  Every point
-        of S + p spans S + p with S, so its points leave S's candidates:
-        each pair (S, S + p) is built once, and nothing is reduced against
-        S.  gf_rref runs once per distinct subspace, for the sort keys.
+        normalised vectors and is cached for this call only.  At the level
+        of the generators S + p is a generator G, and G^perp ^ Q = G, so its
+        points are the candidates of S that p's perp keeps: no line is read.
+        Every point of S + p spans S + p with S, so its points leave S's
+        candidates: each pair (S, S + p) is built once, and nothing is
+        reduced against S.  No row is reduced here: each level's count is
+        checked against the closed form, and only the callers reduce rows.
         """
         gf, points, index, perp = self.gf, self.points, self.point_index, self._perp_masks
         n = len(points)
@@ -121,10 +179,9 @@ class PolarSpace:
                         lines[a * n + b] = mask
             return mask
 
-        levels = {1: [(p,) for p in points]}
-        top = [1 << i for i in range(len(points))]
+        spans = {1: [(p,) for p in points]}
         frontier = {1 << i: ((p,), perp[i]) for i, p in enumerate(points)}
-        for k in range(2, self.d + 1):
+        for k in range(2, top + 1):
             nxt = {}
             for mask, (rows, cand) in frontier.items():
                 inside = list(_bits(mask)) if k < self.d else ()
@@ -142,17 +199,57 @@ class PolarSpace:
                     if span not in nxt:
                         nxt[span] = (rows + (points[j],), below)
             frontier = nxt
-            keyed = sorted((gf_rref(rows, gf)[0], span)
-                           for span, (rows, _) in frontier.items())
-            levels[k] = [rows for rows, _ in keyed]
-            top = [span for _, span in keyed]
-        for k in range(1, self.d + 1):
+            spans[k] = [rows for rows, _ in frontier.values()]
+        for k in range(1, top + 1):
             expect = num_kspaces(self.desc.rank, self.desc.e, self.desc.q, k - 1)
-            if len(levels[k]) != expect:
+            if len(spans[k]) != expect:
                 raise GeometryError(
-                    f"level {k} of {self.desc.name()}: enumerated {len(levels[k])}, "
+                    f"level {k} of {self.desc.name()}: enumerated {len(spans[k])}, "
                     f"closed form {expect}")
-        return levels, top
+        return spans, list(frontier)
+
+    def _certify(self, expected: int) -> list[int]:
+        """Point masks of `self.generators` once they are certified to be
+        the canonical list: `expected` lines, strictly increasing, each d
+        reduced-echelon rows that are isotropic points pairing to zero.
+        Such rows span a generator G, and G^perp ^ Q = G, so its mask is
+        the AND of its rows' perp masks.  Raises GeometryError naming the
+        first line that fails and the property it fails."""
+        gf, index, perp, d = self.gf, self.point_index, self._perp_masks, self.d
+        masks, prev = [], ()
+        for g, rows in enumerate(self.generators):
+            if len(rows) != d:
+                raise GeometryError(f"generator line {g} has {len(rows)} rows, "
+                                    f"a generator of {self.name()} has {d}")
+            at = [index.get(r) for r in rows]
+            if None in at:
+                raise GeometryError(f"generator line {g}: row {rows[at.index(None)]} "
+                                    f"is not a normalised isotropic point")
+            if gf_rref(rows, gf)[0] != rows:
+                raise GeometryError(f"generator line {g} is not in reduced "
+                                    "echelon form")
+            mask = reduce(and_, (perp[i] for i in at))
+            if any(not mask >> i & 1 for i in at):
+                raise GeometryError(f"generator line {g}: its rows do not "
+                                    "pair to zero")
+            if rows <= prev:
+                raise GeometryError(f"generator line {g} does not follow line "
+                                    f"{g - 1} in the canonical order")
+            masks.append(mask)
+            prev = rows
+        if len(masks) != expected:
+            raise GeometryError(f"{len(masks)} generator lines, "
+                                f"{self.name()} has {expected} generators")
+        return masks
+
+    def level_spans(self, k: int) -> list:
+        """Spanning point rows of every (k-1)-space: the generators' own
+        rows at k = d, below it the enumeration's, in discovery order."""
+        if k == self.d:
+            return self.generators
+        if self._spans is None:
+            self._spans = self._enumerate_levels(self.d - 1)[0]
+        return self._spans[k]
 
     def section_mask(self, a) -> int:
         """Point mask of the hyperplane section a.x = 0.
@@ -296,10 +393,16 @@ def _space_key(desc: PolarSpaceDescriptor):
 _SPACE_CACHE: dict = {}
 
 
-def get_space(family: str, rank: int, q: int, dim: int | None = None) -> PolarSpace:
-    """Cached space instances (immutable after construction)."""
+def get_space(family: str, rank: int, q: int, dim: int | None = None,
+              generators=None) -> PolarSpace:
+    """Cached space instances (immutable after construction).  Stored
+    `generators` are certified even when the space is cached: a list that
+    passes is the canonical one, so the cached instance stands for it."""
     desc = descriptor(family, rank, q, dim)
     key = _space_key(desc)
+    if generators is not None:
+        space = PolarSpace(desc, generators=generators)
+        return _SPACE_CACHE.setdefault(key, space)
     if key not in _SPACE_CACHE:
         _SPACE_CACHE[key] = PolarSpace(desc)
     return _SPACE_CACHE[key]

@@ -15,11 +15,14 @@ needed for Hermitian forms.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 
 # the q x q addition and multiplication tables may hold at most this many
 # entries each, so q <= 256
 TABLE_ENTRY_BUDGET = 1 << 16
+# trial division reads at most this many divisors of a field order
+FACTOR_BUDGET = 10 ** 6
 
 
 class FieldError(ValueError):
@@ -27,12 +30,14 @@ class FieldError(ValueError):
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, n) with q = p^n, or raise if q is not a prime power."""
+    """Return (p, n) with q = p^n, or raise if q is not a prime power.
+
+    Trial division reads at most FACTOR_BUDGET divisors (about 0.1 s), so
+    it decides every q with a prime factor up to FACTOR_BUDGET, and every
+    q up to FACTOR_BUDGET^2; any other q is refused with FieldError."""
     if q < 2:
         raise FieldError(f"field order must be >= 2, got {q}")
-    for p in range(2, q + 1):
-        if p * p > q and p != q:
-            break
+    for p in range(2, min(isqrt(q), FACTOR_BUDGET) + 1):
         if q % p == 0:
             n = 0
             m = q
@@ -42,6 +47,10 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
             if m != 1:
                 raise FieldError(f"{q} is not a prime power")
             return p, n
+    if q > FACTOR_BUDGET ** 2:
+        raise FieldError(f"{q} has no prime factor up to {FACTOR_BUDGET}; "
+                         f"trial division decides prime powers only up to "
+                         f"{FACTOR_BUDGET ** 2}")
     return q, 1
 
 

@@ -339,16 +339,19 @@ class SchemeContext:
 
     def incidence(self, k: int):
         """C_k rows: for every (k-1)-space, the bitmask of generators on it.
-        A generator holds the space iff it holds each of its basis points,
-        so a row is the AND of the point rows of A at its echelon rows."""
+        A generator holds the space iff it holds each of its spanning
+        points, so a row is the AND of the point rows of A at the rows of
+        `PolarSpace.level_spans(k)`.  The rows come in that order, the
+        enumeration's discovery order below the generators: every reader
+        of C_k uses it as a set of rows, and no level is sorted for it."""
         if k not in self._C:
             sp = self.space
-            A = sp.point_gen_masks()
+            A, index = sp.point_gen_masks(), sp.point_index
             rows = []
-            for s in sp.levels[k]:
+            for s in sp.level_spans(k):
                 m = (1 << self.n) - 1
                 for r in s:
-                    m &= A[sp.point_index[r]]
+                    m &= A[index[r]]
                 rows.append(m)
             self._C[k] = rows
         return self._C[k]

@@ -1,7 +1,8 @@
 """Routes that only the tests call: the pair-loop references for the
-scheme's relations, its algebra, B^t B, the meeting graph, the matvec
-and every generator-incidence question the library reads off the
-relations (constructions, labels, z-profiles, subquadrangles, pencil
+scheme's relations, its algebra, B^t B, the meeting graph, the matvec,
+the incidences C_k over the canonical levels and every
+generator-incidence question the library reads off the relations
+(constructions, labels, z-profiles, subquadrangles, pencil
 decompositions, pair counts), the list-based annihilators for eigenspace membership, the
 certified kernel that decides image membership by elimination, the CL
 battery with member loops and Fraction counts, the GQ line-set report,
@@ -79,6 +80,18 @@ def reference_matvec(masks, v):
 
 def rank_of_incidence(sch, k: int) -> int:
     return CertifiedKernel(sch.incidence(k), sch.n).rank
+
+
+def reference_incidence(space, k: int) -> list[int]:
+    """C_k rows in the canonical order of `space.levels[k]`: generator g is
+    on a (k-1)-space iff g's point mask holds each of its echelon rows,
+    one generator at a time."""
+    rows = []
+    for s in space.levels[k]:
+        at = [space.point_index[r] for r in s]
+        rows.append(sum(1 << g for g, pm in enumerate(space.gen_point_masks)
+                        if all(pm >> i & 1 for i in at)))
+    return rows
 
 
 # -- generator incidence by pair loops ----------------------------------------

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import polarcl.enumeration as enumeration
 from polarcl.artifacts import (load_generator_set, load_space,
                                parse_subspace_line, space_payload,
                                write_generator_set, write_json)
@@ -28,6 +29,28 @@ def test_load_space_rejects_tampered_file(tmp_path):
     write_json(path, payload)
     with pytest.raises(GeometryError):
         load_space(path)
+
+
+@pytest.mark.parametrize("name", [
+    "Q+(5,2)", "Q+(7,2)", "Q(4,2)", "Q(6,2)", "Q-(5,2)", "W(3,2)", "W(3,3)",
+    "W(5,2)", "H(3,4)", "H(4,4)", "W(5,3)", "Q(6,3)"])
+def test_certified_load_matches_the_enumeration(tmp_path, monkeypatch, name):
+    # a stored list is certified, not re-enumerated; the levels below the
+    # generators are enumerated when read and equal the enumerated space's
+    sp = get_space_by_name(name)
+    path = tmp_path / "space.json"
+    write_json(path, space_payload(sp, ["space", "enumerate"]))
+    monkeypatch.setattr(enumeration, "_SPACE_CACHE", {})
+    loaded = load_space(path)
+    assert loaded is not sp
+    assert loaded.generators == sp.generators
+    assert loaded.gen_point_masks == sp.gen_point_masks
+    assert loaded.gen_index == sp.gen_index
+    assert loaded.class_labels == sp.class_labels
+    assert sorted(loaded.levels) == sorted(sp.levels)
+    for k in sp.levels:
+        assert len(loaded.levels[k]) == len(sp.levels[k]), (name, k)
+        assert loaded.levels[k] == sp.levels[k], (name, k)
 
 
 def test_set_file_roundtrip(tmp_path):

@@ -171,6 +171,21 @@ def test_check_artifacts_agree_across_processes(tmp_path, name, construct,
     assert report["is_cameron_liebler"] is True
 
 
+@pytest.mark.parametrize("name", ["Q+(7,2)", "H(4,4)"])
+def test_space_and_scheme_artifacts_agree_across_processes(tmp_path, name):
+    # the stored space, and the scheme report on the certified load with
+    # its levels enumerated when counted, are the same bytes under two
+    # hash seeds
+    data = _agree_across_processes(tmp_path, "space", "enumerate",
+                                   "--space-name", name)
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    report = _agree_across_processes(tmp_path, "scheme", "verify",
+                                     "--space", str(space_file))
+    assert all(report["checks"].values())
+    assert report["checks"]["count_level_1"]
+
+
 def test_suite_artifacts_agree_across_processes(tmp_path):
     # the whole battery, corpus included, writes the same artifact under
     # two hash seeds
@@ -455,6 +470,33 @@ def _spread_file(content, message):
     return case
 
 
+def _edited_space(name, edit, message):
+    """`check` on a stored space whose JSON payload `edit` changes."""
+    def case(tmp_path):
+        space_file = tmp_path / "space.json"
+        run(["space", "enumerate", "--space-name", name, "--out",
+             str(space_file)])
+        data = json.loads(space_file.read_text())
+        edit(data)
+        space_file.write_text(json.dumps(data))
+        (tmp_path / "one.txt").write_text("idx:0\n")
+        return (["check", "--space", str(space_file), "--set",
+                 str(tmp_path / "one.txt")], message)
+    return case
+
+
+def _swap(key, a, b):
+    def edit(data):
+        data[key][a], data[key][b] = data[key][b], data[key][a]
+    return edit
+
+
+def _set_line(g, line):
+    def edit(data):
+        data["generators"][g] = line
+    return edit
+
+
 BAD_INPUTS = {
     "space-without-manifest": _no_manifest,
     "point-past-the-last": _construct_arg("--point", "9999", "point_pencil"),
@@ -488,6 +530,47 @@ BAD_INPUTS = {
     "spreads-top-level-list": _spread_file([[0, 1, 2]], "not a spread file"),
     "spreads-negative-index": _spread_file(
         {"solutions": [[-1]]}, "generator index -1 is not in 0..14"),
+    "space-lines-swapped": _edited_space(
+        "W(3,2)", _swap("generators", 3, 4),
+        "generator line 4 does not follow line 3 in the canonical order"),
+    "space-line-dropped": _edited_space(
+        "W(3,2)", lambda data: data["generators"].pop(7),
+        "14 generator lines, W(3,2) has 15 generators"),
+    "space-line-duplicated": _edited_space(
+        "W(3,2)", lambda data: data["generators"].insert(5, data["generators"][5]),
+        "generator line 6 does not follow line 5 in the canonical order"),
+    "space-line-not-in-echelon-form": _edited_space(
+        "W(3,2)", lambda data: data["generators"].__setitem__(
+            2, ";".join(reversed(data["generators"][2].split(";")))),
+        "generator line 2 is not in reduced echelon form"),
+    "space-row-not-isotropic": _edited_space(
+        "Q(4,2)", _set_line(0, "1,0,0,0,0;0,0,0,1,0"),
+        "generator line 0: row (1, 0, 0, 0, 0) is not a normalised "
+        "isotropic point"),
+    "space-rows-not-perpendicular": _edited_space(
+        "W(3,2)", _set_line(0, "1,0,0,0;0,0,1,0"),
+        "generator line 0: its rows do not pair to zero"),
+    "space-line-too-short": _edited_space(
+        "W(3,2)", _set_line(0, "1,0,0,0"),
+        "generator line 0 has 1 rows, a generator of W(3,2) has 2"),
+    "space-line-not-integers": _edited_space(
+        "W(3,2)", _set_line(9, "1,x,0,0;0,0,1,0"),
+        "generator line 9 ('1,x,0,0;0,0,1,0') is not rows of comma-separated"),
+    "space-points-swapped": _edited_space(
+        "W(3,2)", _swap("points", 0, 1),
+        "the point list is not the isotropic points of W(3,2)"),
+    "space-class-label-edited": _edited_space(
+        "Q+(5,2)", lambda data: data["generator_classes"].__setitem__(0, "greek"),
+        "the generator classes are not those of Q+(5,2)"),
+    "space-counts-edited": _edited_space(
+        "W(3,2)", lambda data: data["counts"].__setitem__("1", 14),
+        "the level counts are not the closed forms of W(3,2)"),
+    "field-order-with-no-small-factor": lambda tmp_path: (
+        ["space", "info", "--space-name", "W(3,2305843009213693951)"],
+        "2305843009213693951 has no prime factor up to 1000000"),
+    "space-info-over-budget": lambda tmp_path: (
+        ["space", "info", "--space-name", "W(201,2)"],
+        "W(201,2): the eigenvalue table of rank 101 costs (d+1)^3 bits(n) = "),
 }
 
 

@@ -9,7 +9,8 @@ from polarcl.enumeration import (BudgetError, PolarSpace, certify_isometry,
                                  get_space, get_space_by_name,
                                  symplectic_from_parabolic_map)
 from polarcl.geometry import (GeometryError, VerificationError, all_hyperplanes,
-                              descriptor, gf_rref, section_point_count)
+                              descriptor, descriptor_from_name, gf_rref,
+                              section_point_count)
 from polarcl.scheme import SchemeContext
 
 from gf_reference import gf_reduce
@@ -84,6 +85,28 @@ def test_levels_and_masks_match_the_rref_enumeration(name):
     for k in ref:
         assert sp.levels[k] == ref[k], (name, k)
     assert sp.gen_point_masks == [span_point_mask(sp, g) for g in ref[sp.d]]
+
+
+@pytest.mark.parametrize("name", ALL_SPACES)
+def test_level_counts_reduce_only_the_generators(name, monkeypatch):
+    # the counts come from the unsorted frontiers; reading a level's entries
+    # reduces and sorts it once
+    import polarcl.enumeration as enumeration
+    import polarcl.geometry as geometry
+    import polarcl.linalg as linalg
+    calls = []
+
+    def counted(rows, gf):
+        calls.append(len(rows))
+        return gf_rref(rows, gf)
+    for module in (enumeration, geometry, linalg):
+        monkeypatch.setattr(module, "gf_rref", counted)
+    sp = PolarSpace(descriptor_from_name(name))
+    counts = [len(sp.levels[k]) for k in range(1, sp.d + 1)]
+    assert len(calls) == sp.n_generators == counts[-1]
+    k = sp.d - 1
+    assert list(sp.levels[k]) == sp.levels[k][:] == sorted(sp.levels[k])
+    assert len(calls) == sp.n_generators + counts[k - 1]
 
 
 def test_perp_and_section_masks_match_pairings():

@@ -17,8 +17,8 @@ from reference import (_distance_table, annihilate, class_image_membership,
                        eigenspace_membership, expanded_annihilator,
                        image_membership, rank_of_incidence,
                        reference_algebra_witness, reference_btb,
-                       reference_intersection_witness, reference_matvec,
-                       reference_relations)
+                       reference_incidence, reference_intersection_witness,
+                       reference_matvec, reference_relations)
 
 
 def ctx_of(name):
@@ -97,6 +97,18 @@ def test_incidence_row_sums():
     assert {m.bit_count() for m in sch.incidence(1)} == {15}  # pencil size
     assert {m.bit_count() for m in sch.incidence(2)} == {3}   # q^e + 1
     assert {m.bit_count() for m in sch.incidence(3)} == {1}
+
+
+@pytest.mark.parametrize("name", ["Q+(5,2)", "Q+(7,2)", "Q(4,2)", "Q(6,2)",
+                                  "Q-(5,2)", "W(3,2)", "W(3,3)", "W(5,2)",
+                                  "H(3,4)", "H(4,4)"])
+def test_incidence_rows_match_the_canonical_levels(name):
+    # C_k comes in the enumeration's discovery order; as a multiset of rows
+    # it is the incidence of the sorted canonical level
+    sch = ctx_of(name)
+    for k in range(1, sch.d + 1):
+        assert sorted(sch.incidence(k)) == sorted(
+            reference_incidence(sch.space, k)), (name, k)
 
 
 def test_eigenspace_membership_examples():
